@@ -1,10 +1,20 @@
+import hashlib
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from arrlab.cli import main, parse_weights, serialize_weights
 from arrlab.cells import Corner
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# SHA-256 of the icosidodecahedral weights file and annotated figure
+ICOSI_WEIGHTS_SHA256 = \
+    "2df180cf228185b98fcc00c0594dad02a9a253552af65e99cd818dc84e7740e2"
+ICOSI_SVG_SHA256 = \
+    "d962b70d6bed0f9a59d27ca8dbb6247b00aed2975315b49e2591e48a12dded0b"
 
 
 def run_cli(args, capsys):
@@ -29,9 +39,18 @@ def test_analyze_generic3(capsys):
     assert "falk: FEASIBLE" in out
 
 
+def readme_report():
+    """The report block that follows the analyze command in README.md."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("$ arrlab analyze @icosidodecahedral") + 1
+    end = lines.index("```", start)
+    return "\n".join(lines[start:end]) + "\n"
+
+
 def test_analyze_icosi(capsys, icosi):
     code, out, _ = run_cli(["analyze", "@icosidodecahedral"], capsys)
     assert code == 0
+    assert out == readme_report()
     assert "pi: 1 + 16t + 75t^2 + 60t^3" in out
     assert "pi_decone: 1 + 15t + 60t^2" in out
     assert "integer_split: none" in out
@@ -98,6 +117,8 @@ def test_falk_solve_verify_roundtrip(tmp_path, capsys):
         ["falk", "solve", "@icosidodecahedral", "-o", str(wfile)], capsys)
     assert code == 0
     assert "FEASIBLE" in out
+    assert hashlib.sha256(wfile.read_bytes()).hexdigest() == \
+        ICOSI_WEIGHTS_SHA256
     code, out, _ = run_cli(
         ["falk", "verify", "@icosidodecahedral", str(wfile)], capsys)
     assert code == 0
@@ -155,6 +176,8 @@ def test_render_with_weights_annotations(tmp_path, capsys, gamma_lid):
     root = ET.parse(out_file).getroot()
     texts = [e for e in root if e.tag.endswith("text")]
     assert len(texts) == len(gamma_lid.corners)
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
+        ICOSI_SVG_SHA256
 
 
 def test_render_unknown_corner_weights(tmp_path, capsys):
