@@ -19,6 +19,7 @@ from .arrangement import (
     cone,
     decone,
     default_decone_index,
+    intersection_points,
     parse_arrangement,
     serialize_arrangement,
 )
@@ -32,13 +33,11 @@ from .cells import (
     face_census,
     gamma_of,
     is_simplicial,
-    link,
     link_census,
 )
 from .factored import (
     Factorization,
     find_factorization,
-    find_factorization_bruteforce,
     is_valid_factorization,
 )
 from .falk import (

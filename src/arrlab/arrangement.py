@@ -190,6 +190,19 @@ class LineArrangement:
                                self.field)
 
 
+def intersection_points(arr: LineArrangement) -> dict:
+    """Crossing points of a line arrangement: {point: frozenset of the
+    indices of the lines through it}, in sorted point order."""
+    points = {}
+    lines = arr.lines
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            p = lines[i].intersect(lines[j])
+            if p is not None:
+                points.setdefault(p, set()).update((i, j))
+    return {p: frozenset(points[p]) for p in sorted(points)}
+
+
 @dataclass(frozen=True)
 class CentralArrangement:
     """Pairwise-distinct planes through the origin, with optional class labels."""

@@ -27,7 +27,13 @@ import warnings
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .arrangement import ArrangementError, CentralArrangement, LineArrangement, decone
+from .arrangement import (
+    ArrangementError,
+    CentralArrangement,
+    LineArrangement,
+    decone,
+    intersection_points,
+)
 from .scalar import sign
 
 SEGMENT = "segment"
@@ -137,18 +143,12 @@ def build_complex(arr: LineArrangement) -> CellComplex:
     if n < 1:
         raise ArrangementError("cell complex needs at least one line")
 
-    points = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = arr.lines[i].intersect(arr.lines[j])
-            if p is not None:
-                points.setdefault(p, set()).update((i, j))
+    points = intersection_points(arr)
     if not points:
         return _parallel_pencil_complex(arr)
 
-    vertices = [Vertex(vid, p, frozenset(points[p]))
-                for vid, p in enumerate(sorted(points))]
-    vid_of = {v.point: v.id for v in vertices}
+    vertices = [Vertex(vid, p, lines)
+                for vid, (p, lines) in enumerate(points.items())]
 
     # order the vertices of each line along its direction
     on_line = {i: [] for i in range(n)}
@@ -360,10 +360,10 @@ class BoundedComplex:
                           for i in range(k)]
         joined = [sector_bounded[i] and bounded_germ[i]
                   and bounded_germ[(i + 1) % k] for i in range(k)]
-        # a bounded sector face cannot be flanked by a ray
         for i in range(k):
-            if sector_bounded[i]:
-                assert bounded_germ[i] and bounded_germ[(i + 1) % k]
+            if sector_bounded[i] and not joined[i]:
+                raise RuntimeError(f"vertex {vid}: a bounded sector face "
+                                   f"is flanked by a ray")
 
         def corner_at(i):
             return Corner(vid, cx.sector_face(vid, i))
@@ -402,10 +402,6 @@ def bounded_complex(complex_: CellComplex) -> BoundedComplex:
 def gamma_of(arr: LineArrangement) -> BoundedComplex:
     """Convenience: bounded complex straight from a line arrangement."""
     return bounded_complex(build_complex(arr))
-
-
-def link(gamma: BoundedComplex, vertex: int) -> Link:
-    return gamma.link(vertex)
 
 
 def link_census(gamma: BoundedComplex):

@@ -3,7 +3,7 @@
 Subcommands: analyze, poset, gamma, factor, falk {constraints,solve,verify},
 render.  Arrangement references are file paths or builtins like
 ``@icosidodecahedral``.  Exit codes: 0 success / verification PASS,
-1 verification FAIL or infeasible system, 2 usage or parse errors.
+1 verification FAIL or infeasible system, 2 usage, parse or I/O errors.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from .arrangement import (
 from .cells import (
     CYCLE,
     Corner,
-    build_complex,
     bounded_complex,
+    build_complex,
     face_census,
+    gamma_of,
     is_simplicial,
     link_census,
 )
@@ -43,17 +44,32 @@ class CliError(Exception):
     """User-facing failure; message printed, exit code 2."""
 
 
+def read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 text "
+                       f"(byte {exc.start})") from exc
+
+
+def write_output(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def load_arrangement(ref: str):
     if ref.startswith("@"):
         try:
             return builtin(ref[1:])
         except ArrangementError as exc:
             raise CliError(str(exc)) from exc
-    try:
-        with open(ref, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {ref}: {exc.strerror}") from exc
+    text = read_text(ref)
     try:
         return parse_arrangement(text)
     except ArrangementError as exc:
@@ -86,18 +102,19 @@ def _polygon_name(k: int) -> str:
 
 def cmd_analyze(args, out) -> int:
     arr = load_arrangement(args.arrangement)
-    report = []
-    report.append(("input", args.arrangement))
-    if isinstance(arr, CentralArrangement):
-        report.append(("kind", "central"))
-        report.append(("field", arr.field))
-        report.append(("hyperplanes", str(len(arr.planes))))
-        pi = poincare_polynomial(arr)
-        report.append(("pi", str(pi)))
-        split = splits_over_integers(pi)
-        report.append(("integer_split",
-                       "none" if split is None
-                       else "{" + ",".join(map(str, split)) + "}"))
+    central = isinstance(arr, CentralArrangement)
+    pi = poincare_polynomial(arr)
+    split = splits_over_integers(pi)
+    report = [
+        ("input", args.arrangement),
+        ("kind", "central" if central else "line"),
+        ("field", arr.field),
+        ("hyperplanes", str(len(arr))),
+        ("pi", str(pi)),
+        ("integer_split", "none" if split is None
+         else "{" + ",".join(map(str, split)) + "}"),
+    ]
+    if central:
         simp, witness = is_simplicial(arr)
         report.append(("simplicial", "true" if simp else "false"))
         if witness is not None:
@@ -114,15 +131,6 @@ def cmd_analyze(args, out) -> int:
         report.append(("pi_decone", str(poincare_polynomial(section))))
     else:
         section = arr
-        report.append(("kind", "line"))
-        report.append(("field", arr.field))
-        report.append(("hyperplanes", str(len(arr.lines))))
-        pi = poincare_polynomial(arr)
-        report.append(("pi", str(pi)))
-        split = splits_over_integers(pi)
-        report.append(("integer_split",
-                       "none" if split is None
-                       else "{" + ",".join(map(str, split)) + "}"))
         report.append(("pi_cone", str(poincare_polynomial(cone(arr)))))
     if len(section.lines) >= 2:
         fac = find_factorization(section)
@@ -166,13 +174,11 @@ def cmd_poset(args, out) -> int:
 
 
 def cmd_gamma(args, out) -> int:
-    arr = as_line_arrangement(load_arrangement(args.arrangement))
-    cx = build_complex(arr)
-    gam = bounded_complex(cx)
+    gam = gamma_of(as_line_arrangement(load_arrangement(args.arrangement)))
     print(f"vertices: {len(gam.vertices)}", file=out)
     print(f"edges: {len(gam.edges)}", file=out)
     print(f"faces: {len(gam.faces)}", file=out)
-    fc = face_census(cx)
+    fc = face_census(gam.complex)
     print("face census: "
           + (" ".join(f"{k}-gon:{fc[k]}" for k in sorted(fc)) or "-"),
           file=out)
@@ -208,13 +214,8 @@ def cmd_factor(args, out) -> int:
     return 0
 
 
-def _corner_names(gam):
-    return {c: i for i, c in enumerate(gam.corners)}
-
-
 def cmd_falk_constraints(args, out) -> int:
-    arr = as_line_arrangement(load_arrangement(args.arrangement))
-    gam = bounded_complex(build_complex(arr))
+    gam = gamma_of(as_line_arrangement(load_arrangement(args.arrangement)))
     system = build_constraints(gam)
     for i, c in enumerate(system.variables):
         print(f"# x{i} = corner (vertex {c.vertex}, face {c.face})", file=out)
@@ -225,8 +226,7 @@ def cmd_falk_constraints(args, out) -> int:
 
 
 def cmd_falk_solve(args, out) -> int:
-    arr = as_line_arrangement(load_arrangement(args.arrangement))
-    gam = bounded_complex(build_complex(arr))
+    gam = gamma_of(as_line_arrangement(load_arrangement(args.arrangement)))
     result = solve(gam, equality_asphericity=args.equality_asphericity,
                    minimize_total=args.minimize_total)
     if not result.feasible:
@@ -239,11 +239,12 @@ def cmd_falk_solve(args, out) -> int:
         print("note: only this sufficient test failed; no claim about "
               "asphericity itself", file=out)
         return 1
-    assert check_certificate(result.lp, result.lp_result)
+    if not check_certificate(result.lp, result.lp_result):
+        raise RuntimeError("solver returned a witness that fails its "
+                           "certificate check")
     text = serialize_weights(result.weights)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_output(args.output, text)
         print(f"FEASIBLE ({len(result.weights)} corner weights written to "
               f"{args.output})", file=out)
     else:
@@ -253,13 +254,8 @@ def cmd_falk_solve(args, out) -> int:
 
 
 def cmd_falk_verify(args, out) -> int:
-    arr = as_line_arrangement(load_arrangement(args.arrangement))
-    gam = bounded_complex(build_complex(arr))
-    try:
-        with open(args.weights, "r", encoding="utf-8") as fh:
-            weights = parse_weights(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read {args.weights}: {exc.strerror}") from exc
+    gam = gamma_of(as_line_arrangement(load_arrangement(args.arrangement)))
+    weights = read_weights(args.weights)
     try:
         report = verify(gam, weights)
     except WeightError as exc:
@@ -271,23 +267,13 @@ def cmd_falk_verify(args, out) -> int:
 
 
 def cmd_render(args, out) -> int:
-    arr = load_arrangement(args.arrangement)
-    if isinstance(arr, CentralArrangement):
-        arr = decone(arr, default_decone_index(arr))
-    weights = None
-    if args.weights:
-        try:
-            with open(args.weights, "r", encoding="utf-8") as fh:
-                weights = parse_weights(fh.read())
-        except OSError as exc:
-            raise CliError(f"cannot read {args.weights}: "
-                           f"{exc.strerror}") from exc
+    arr = as_line_arrangement(load_arrangement(args.arrangement))
+    weights = read_weights(args.weights) if args.weights else None
     try:
         doc = render_svg(arr, gamma=args.gamma, weights=weights)
     except WeightError as exc:
         raise CliError(str(exc)) from exc
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+    write_output(args.output, doc)
     print(f"wrote {args.output}", file=out)
     return 0
 
@@ -297,6 +283,10 @@ def serialize_weights(weights) -> str:
     for c in sorted(weights, key=lambda c: (c.vertex, c.face)):
         lines.append(f"corner {c.vertex} {c.face} = {Fraction(weights[c])}")
     return "\n".join(lines) + "\n"
+
+
+def read_weights(path: str) -> dict:
+    return parse_weights(read_text(path))
 
 
 def parse_weights(text: str) -> dict:

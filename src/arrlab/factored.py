@@ -9,16 +9,14 @@ in one part gives counts (2, 0) and is forbidden, which is what drives the
 propagation below.
 
 ``find_factorization`` runs an exhaustive backtracking search with unit
-propagation; ``find_factorization_bruteforce`` tries all 2^n assignments and
-exists to cross-check the search on small inputs.
+propagation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrangement import LineArrangement
-from .poset import intersection_poset
+from .arrangement import LineArrangement, intersection_points
 
 
 @dataclass(frozen=True)
@@ -28,14 +26,10 @@ class Factorization:
     part1: frozenset
     part2: frozenset
 
-    def part_of(self, line: int) -> int:
-        return 1 if line in self.part1 else 2
-
 
 def _incidence_data(arr: LineArrangement):
-    """Line sets of all rank-2 flats, plus the parallel line pairs."""
-    poset = intersection_poset(arr)
-    flats = [sorted(f.hyperplanes) for f in poset.flats_of_rank(2)]
+    """Line sets of all intersection points, plus the parallel line pairs."""
+    flats = [sorted(lines) for lines in intersection_points(arr).values()]
     n = len(arr.lines)
     parallel = [(i, j)
                 for i in range(n) for j in range(i + 1, n)
@@ -61,35 +55,6 @@ def is_valid_factorization(arr: LineArrangement, fac: Factorization) -> bool:
         if c1 != 1 and c2 != 1:
             return False
     return True
-
-
-def find_factorization_bruteforce(arr: LineArrangement):
-    """Try every assignment; None iff no factorization exists.
-
-    Bitmask semantics: line k is in part 2 iff bit k of the mask is set.
-    """
-    n = len(arr.lines)
-    if n < 2:
-        return None
-    flats, parallel = _incidence_data(arr)
-    masks = [sum(1 << i for i in line_set) for line_set in flats]
-    sizes = [len(line_set) for line_set in flats]
-    for assign in range(1, (1 << n) - 1):
-        ok = True
-        for i, j in parallel:
-            if ((assign >> i) & 1) != ((assign >> j) & 1):
-                ok = False
-                break
-        if ok:
-            for mask, size in zip(masks, sizes):
-                c2 = bin(assign & mask).count("1")
-                if c2 != 1 and size - c2 != 1:
-                    ok = False
-                    break
-        if ok:
-            part2 = frozenset(i for i in range(n) if (assign >> i) & 1)
-            return Factorization(frozenset(range(n)) - part2, part2)
-    return None
 
 
 class _State:
@@ -232,7 +197,8 @@ def find_factorization(arr: LineArrangement):
         return None
     fac = Factorization(frozenset(i for i in range(n) if found.part[i] == 1),
                         frozenset(i for i in range(n) if found.part[i] == 2))
-    assert is_valid_factorization(arr, fac)
+    if not is_valid_factorization(arr, fac):
+        raise RuntimeError("search returned an invalid factorization")
     return fac
 
 

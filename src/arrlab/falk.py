@@ -34,14 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cells import BoundedComplex, CYCLE, Corner, Link
-from .lpcore import (
-    FEASIBLE,
-    INFEASIBLE,
-    LPRow,
-    StandardFormLP,
-    check_certificate,
-    solve_feasibility,
-)
+from .lpcore import FEASIBLE, LPRow, StandardFormLP, solve_feasibility
 
 TYPE_I = "i"
 TYPE_II = "ii"
@@ -74,67 +67,33 @@ class Circuit:
         return sum(self.counts)
 
 
-def _component_edge_labels(link: Link, comp_index: int):
-    comp = link.components[comp_index]
-    return comp.corners  # one corner per link edge position
+# Runs of consecutive link edges behind types (ii)-(iv): the type, the run
+# length minus m, and the count on the run's end edges and inside it.
+_RUNS = ((TYPE_II, 1, 2, 2), (TYPE_III, 0, 4, 4), (TYPE_IV, 0, 4, 2))
 
 
 def _raw_circuits(link: Link, m: int):
     """All circuits before deduplication, in deterministic order."""
     out = []
+    cyclic = link.shape == CYCLE
     for ci, comp in enumerate(link.components):
         labels = comp.corners
-        if link.shape == CYCLE:
-            k = len(comp.edges)  # == number of link edges == 2m
+        nedges = len(labels)
+        nverts = len(comp.edges)  # link vertices; == nedges on a cycle
+        if cyclic:
             out.append(Circuit(link.vertex, TYPE_I, ci, 0,
-                               (1,) * k, labels))
-            if k > m + 1:
-                for j in range(k):
-                    counts = [0] * k
-                    for t in range(m + 1):
-                        counts[(j + t) % k] = 2
-                    out.append(Circuit(link.vertex, TYPE_II, ci, j,
-                                       tuple(counts), labels))
-            if k > m:
-                for j in range(k):
-                    counts = [0] * k
-                    for t in range(m):
-                        counts[(j + t) % k] = 4
-                    out.append(Circuit(link.vertex, TYPE_III, ci, j,
-                                       tuple(counts), labels))
-                for j in range(k):
-                    counts = [0] * k
-                    for t in range(m):
-                        counts[(j + t) % k] = 2
-                    counts[j % k] = 4
-                    counts[(j + m - 1) % k] = 4
-                    out.append(Circuit(link.vertex, TYPE_IV, ci, j,
-                                       tuple(counts), labels))
-        else:
-            kv = len(comp.edges)  # number of link vertices in this path
-            ne = kv - 1  # number of link edges
-            if kv > m + 1:
-                for j in range(kv - m - 1):
-                    counts = [0] * ne
-                    for t in range(m + 1):
-                        counts[j + t] = 2
-                    out.append(Circuit(link.vertex, TYPE_II, ci, j,
-                                       tuple(counts), labels))
-            if kv > m:
-                for j in range(kv - m):
-                    counts = [0] * ne
-                    for t in range(m):
-                        counts[j + t] = 4
-                    out.append(Circuit(link.vertex, TYPE_III, ci, j,
-                                       tuple(counts), labels))
-                for j in range(kv - m):
-                    counts = [0] * ne
-                    for t in range(m):
-                        counts[j + t] = 2
-                    counts[j] = 4
-                    counts[j + m - 1] = 4
-                    out.append(Circuit(link.vertex, TYPE_IV, ci, j,
-                                       tuple(counts), labels))
+                               (1,) * nedges, labels))
+        for ctype, extra, end, inside in _RUNS:
+            run = m + extra
+            if nverts <= run:
+                continue
+            for j in range(nverts if cyclic else nverts - run):
+                counts = [0] * nedges
+                for t in range(run):
+                    counts[(j + t) % nedges] = (end if t in (0, run - 1)
+                                                else inside)
+                out.append(Circuit(link.vertex, ctype, ci, j,
+                                   tuple(counts), labels))
     return out
 
 
@@ -189,14 +148,6 @@ class ConstraintSystem:
     variables: tuple
     orbits: tuple
     rows: tuple
-
-    @property
-    def var_of_corner(self):
-        lookup = {}
-        for idx, orbit in enumerate(self.orbits):
-            for c in orbit:
-                lookup[c] = idx
-        return lookup
 
 
 class SymmetryError(ValueError):
@@ -315,12 +266,23 @@ class VerifyReport:
         return "PASS" if self.ok else "FAIL"
 
 
-def verify(gamma: BoundedComplex, weights) -> VerifyReport:
-    """Check a weight system against every constraint of the full system."""
+def check_corners(gamma: BoundedComplex, weights):
+    """Raise WeightError unless the weights are on exactly Gamma's corners."""
     missing = [c for c in gamma.corners if c not in weights]
     if missing:
         raise WeightError(f"weight system misses {len(missing)} corners, "
-                          f"first {missing[0]}")
+                          f"first ({missing[0].vertex},{missing[0].face})")
+    unknown = sorted(set(weights) - set(gamma.corners),
+                     key=lambda c: (c.vertex, c.face))
+    if unknown:
+        raise WeightError(f"weight system names {len(unknown)} corner(s) "
+                          f"outside Gamma, first ({unknown[0].vertex},"
+                          f"{unknown[0].face})")
+
+
+def verify(gamma: BoundedComplex, weights) -> VerifyReport:
+    """Check a weight system against every constraint of the full system."""
+    check_corners(gamma, weights)
     violations = []
     for c in gamma.corners:
         if Fraction(weights[c]) < 0:
@@ -379,6 +341,6 @@ def solve(gamma: BoundedComplex, *, equality_asphericity=False,
     for value, orbit in zip(res.witness, system.orbits):
         for corner in orbit:
             weights[corner] = value
-    report = verify(gamma, weights)
-    assert report.ok, "solver produced weights that fail verification"
+    if not verify(gamma, weights).ok:
+        raise RuntimeError("solver produced weights that fail verification")
     return SolveResult(FEASIBLE, weights, system, lp, res)

@@ -15,6 +15,7 @@ from .arrangement import (
     CentralArrangement,
     LineArrangement,
     cross3,
+    intersection_points,
     scale_first_nonzero,
 )
 
@@ -91,9 +92,8 @@ class Flat:
 class IntersectionPoset:
     """All flats of an arrangement, ordered by reverse inclusion."""
 
-    def __init__(self, flats, nhyperplanes: int):
+    def __init__(self, flats):
         self.flats = tuple(flats)
-        self.nhyperplanes = nhyperplanes
         self.mobius = {}
         self._compute_mobius()
 
@@ -103,11 +103,6 @@ class IntersectionPoset:
     @property
     def rank(self) -> int:
         return max((f.rank for f in self.flats), default=0)
-
-    @staticmethod
-    def less_equal(x: Flat, y: Flat) -> bool:
-        """x <= y in the poset (reverse inclusion of carriers)."""
-        return x.hyperplanes <= y.hyperplanes
 
     def _compute_mobius(self):
         # mu(V) = 1; for X > V, sum of mu over the closed lower interval is 0.
@@ -135,14 +130,8 @@ def _line_flats(arr: LineArrangement):
     flats = [Flat(0, 0, frozenset(), ("space",))]
     for i in range(len(arr.lines)):
         flats.append(Flat(len(flats), 1, frozenset([i]), ("hyperplane", i)))
-    points = {}
-    for i in range(len(arr.lines)):
-        for j in range(i + 1, len(arr.lines)):
-            p = arr.lines[i].intersect(arr.lines[j])
-            if p is not None:
-                points.setdefault(p, set()).update((i, j))
-    for p in sorted(points):
-        flats.append(Flat(len(flats), 2, frozenset(points[p]), ("point", p)))
+    for p, lines in intersection_points(arr).items():
+        flats.append(Flat(len(flats), 2, lines, ("point", p)))
     return flats
 
 
@@ -168,14 +157,10 @@ def _central_flats(arr: CentralArrangement):
 def intersection_poset(arr) -> IntersectionPoset:
     """Enumerate all flats of a line or central arrangement, with Mobius values."""
     if isinstance(arr, CentralArrangement):
-        flats = _central_flats(arr)
-        n = len(arr.planes)
-    elif isinstance(arr, LineArrangement):
-        flats = _line_flats(arr)
-        n = len(arr.lines)
-    else:
-        raise TypeError(f"not an arrangement: {type(arr).__name__}")
-    return IntersectionPoset(flats, n)
+        return IntersectionPoset(_central_flats(arr))
+    if isinstance(arr, LineArrangement):
+        return IntersectionPoset(_line_flats(arr))
+    raise TypeError(f"not an arrangement: {type(arr).__name__}")
 
 
 def poincare_polynomial(arr) -> IntPolynomial:

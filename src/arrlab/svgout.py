@@ -14,6 +14,7 @@ from math import isqrt
 
 from .arrangement import LineArrangement
 from .cells import build_complex, bounded_complex
+from .falk import check_corners
 from .scalar import GoldenScalar, sign
 
 _SQRT5_SCALE = 10 ** 40
@@ -161,15 +162,7 @@ def render_svg(arr: LineArrangement, *, gamma: bool = False,
     if weights is not None:
         if gam is None:
             gam = bounded_complex(cx)
-        from .falk import WeightError
-        for c in gam.corners:
-            if c not in weights:
-                raise WeightError(f"weights file misses corner "
-                                  f"({c.vertex},{c.face})")
-        unknown = set(weights) - set(gam.corners)
-        if unknown:
-            raise WeightError(f"weights reference unknown corners: "
-                              f"{sorted((c.vertex, c.face) for c in unknown)}")
+        check_corners(gam, weights)
         for c in gam.corners:
             v = cx.vertices[c.vertex].point
             f = gam.faces[c.face]

@@ -2,9 +2,10 @@
 
 Everything here recomputes results by brute force or by a different
 algorithm than the library path it checks: Poincare polynomials by the
-subset alternating sum, LP feasibility by Fourier-Motzkin elimination,
-circuit multiplicities by literally walking the circuit, chamber wall
-counts by sign-vector enumeration.
+subset alternating sum, factorizations by trying every assignment, LP
+feasibility by Fourier-Motzkin elimination, circuit multiplicities by
+literally walking the circuit, chamber wall counts by sign-vector
+enumeration.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from arrlab.arrangement import (
     AffineLine,
     CentralArrangement,
     LineArrangement,
+    intersection_points,
     matrix_rank,
 )
+from arrlab.factored import Factorization
 from arrlab.lpcore import LPRow, StandardFormLP, solve_feasibility
 from arrlab.poset import IntPolynomial
 from arrlab.scalar import RATIONAL, sign
@@ -65,6 +68,30 @@ def whitney_poincare(arr) -> IntPolynomial:
                 continue
             coeffs[r] += (-1) ** size * (-1) ** r
     return IntPolynomial(tuple(coeffs))
+
+
+def find_factorization_bruteforce(arr: LineArrangement):
+    """Try every assignment; None iff no factorization exists.
+
+    Bitmask semantics: line k is in part 2 iff bit k of the mask is set.
+    """
+    n = len(arr.lines)
+    if n < 2:
+        return None
+    points = list(intersection_points(arr).values())
+    masks = [sum(1 << i for i in lines) for lines in points]
+    sizes = [len(lines) for lines in points]
+    parallel = [(i, j) for i, j in combinations(range(n), 2)
+                if arr.lines[i].is_parallel(arr.lines[j])]
+    for assign in range(1, (1 << n) - 1):
+        if any(((assign >> i) & 1) != ((assign >> j) & 1)
+               for i, j in parallel):
+            continue
+        if all((c2 := bin(assign & mask).count("1")) == 1 or size - c2 == 1
+               for mask, size in zip(masks, sizes)):
+            part2 = frozenset(i for i in range(n) if (assign >> i) & 1)
+            return Factorization(frozenset(range(n)) - part2, part2)
+    return None
 
 
 def fourier_motzkin_feasible(rows, nvars: int) -> bool:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from arrlab.arrangement import builtin, cone
 from arrlab.cells import CYCLE, Corner, Link, LinkComponent, gamma_of, \
     is_simplicial, link_census
-from arrlab.factored import find_factorization, find_factorization_bruteforce
+from arrlab.factored import find_factorization
 from arrlab.falk import (
     _raw_circuits,
     build_constraints,
@@ -25,6 +25,7 @@ from arrlab.poset import IntPolynomial, poincare_polynomial, \
 
 from oracles import (
     essential_random_line_arrangement,
+    find_factorization_bruteforce,
     fourier_motzkin_feasible,
     random_lp,
     whitney_poincare,

@@ -15,6 +15,7 @@ from arrlab.arrangement import (
     cone,
     decone,
     default_decone_index,
+    intersection_points,
     parse_arrangement,
     serialize_arrangement,
 )
@@ -103,6 +104,21 @@ def test_decone_requires_rank3():
     assert pencil.rank() == 2
     with pytest.raises(ArrangementError):
         decone(pencil, 0)
+
+
+def test_intersection_points_sorted_with_incident_lines():
+    # x = 0, y = 0 and x + y = 0 meet at the origin; x = 1 crosses two of
+    # them and is parallel to the first
+    arr = LineArrangement(((Fraction(1), Fraction(0), Fraction(0)),
+                           (Fraction(0), Fraction(1), Fraction(0)),
+                           (Fraction(1), Fraction(1), Fraction(0)),
+                           (Fraction(1), Fraction(0), Fraction(1))),
+                          RATIONAL)
+    assert list(intersection_points(arr).items()) == [
+        ((0, 0), frozenset({0, 1, 2})),
+        ((1, -1), frozenset({2, 3})),
+        ((1, 0), frozenset({1, 3})),
+    ]
 
 
 def test_cone_appends_infinity_plane():

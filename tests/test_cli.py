@@ -138,6 +138,37 @@ def test_falk_verify_fail_exit_code(tmp_path, capsys):
     assert "asphericity" in out
 
 
+def test_falk_verify_rejects_unknown_corner(tmp_path, capsys):
+    # zero weights pass on @generic3; a corner outside Gamma must not
+    wfile = tmp_path / "w.txt"
+    weights = {Corner(v, 0): Fraction(0) for v in range(3)}
+    wfile.write_text(serialize_weights(weights) + "corner 99 99 = 1\n")
+    code, out, err = run_cli(["falk", "verify", "@generic3", str(wfile)],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("arrlab: error: ") and err.count("\n") == 1
+    assert "(99,99)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "@generic3", "-o", "{tmp}/missing/a.svg"],
+    ["falk", "solve", "@generic3", "-o", "{tmp}/missing/w.txt"],
+    ["analyze", "{tmp}/latin1.txt"],
+    ["falk", "verify", "@generic3", "{tmp}/latin1.txt"],
+    ["render", "@generic3", "-o", "{tmp}/a.svg", "--weights",
+     "{tmp}/latin1.txt"],
+], ids=["render-unwritable", "solve-unwritable", "arrangement-not-utf8",
+        "verify-weights-not-utf8", "render-weights-not-utf8"])
+def test_io_faults_exit_2(argv, tmp_path, capsys):
+    (tmp_path / "latin1.txt").write_bytes(
+        "field rational  # caf\xe9\n".encode("latin-1"))
+    code, _, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("arrlab: error: cannot ")
+    assert err.count("\n") == 1
+
+
 def test_weights_round_trip():
     weights = {Corner(3, 1): Fraction(2, 5), Corner(0, 0): Fraction(1)}
     text = serialize_weights(weights)

@@ -7,13 +7,12 @@ from arrlab.arrangement import LineArrangement, builtin
 from arrlab.factored import (
     Factorization,
     find_factorization,
-    find_factorization_bruteforce,
     is_valid_factorization,
     propagation_trace,
 )
 from arrlab.scalar import RATIONAL
 
-from oracles import random_line_arrangement
+from oracles import find_factorization_bruteforce, random_line_arrangement
 
 
 def test_two_generic_lines():

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import arrlab
 from arrlab.arrangement import builtin
 from arrlab.cells import CYCLE, Corner, Link, LinkComponent, gamma_of
 from arrlab.falk import (
@@ -212,6 +217,21 @@ def test_negative_weights_flagged():
     assert not report.ok
     assert any(v.tag.startswith("nonnegativity")
                for v in report.violations)
+
+
+def test_solve_checks_its_weights_under_python_O():
+    # the post-solve re-verification must not be an assert, which -O strips
+    script = ("import arrlab.falk as falk\n"
+              "from arrlab import builtin, gamma_of\n"
+              "falk.verify = lambda gamma, weights: "
+              "falk.VerifyReport(False, ())\n"
+              "falk.solve(gamma_of(builtin('generic3')))\n")
+    src = str(Path(arrlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "fail verification" in proc.stderr
 
 
 def test_solve_generic3_zero():
