@@ -229,6 +229,9 @@ def cmd_falk_solve(args, out) -> int:
     gam = gamma_of(as_line_arrangement(load_arrangement(args.arrangement)))
     result = solve(gam, equality_asphericity=args.equality_asphericity,
                    minimize_total=args.minimize_total)
+    if not check_certificate(result.lp, result.lp_result):
+        raise RuntimeError("solver returned a witness or Farkas certificate "
+                           "that fails its check")
     if not result.feasible:
         print("INFEASIBLE", file=out)
         cert = result.lp_result.certificate
@@ -239,9 +242,6 @@ def cmd_falk_solve(args, out) -> int:
         print("note: only this sufficient test failed; no claim about "
               "asphericity itself", file=out)
         return 1
-    if not check_certificate(result.lp, result.lp_result):
-        raise RuntimeError("solver returned a witness that fails its "
-                           "certificate check")
     text = serialize_weights(result.weights)
     if args.output:
         write_output(args.output, text)

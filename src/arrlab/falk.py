@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cells import BoundedComplex, CYCLE, Corner, Link
-from .lpcore import FEASIBLE, LPRow, StandardFormLP, solve_feasibility
+from .lpcore import (EQ, FEASIBLE, GE, LE, LPRow, StandardFormLP,
+                     solve_feasibility)
 
 TYPE_I = "i"
 TYPE_II = "ii"
@@ -129,20 +130,12 @@ NONNEGATIVITY = "nonnegativity"
 
 
 @dataclass(frozen=True)
-class ConstraintRow:
-    coeffs: tuple  # integer coefficient per variable
-    rel: str
-    rhs: int
-    tag: str
-
-
-@dataclass(frozen=True)
 class ConstraintSystem:
     """Falk feasibility instance over corner variables (or symmetry orbits).
 
     ``variables`` lists one representative corner per variable; ``orbits``
-    gives the full corner set behind each variable.  Nonnegativity of all
-    variables is implicit.
+    gives the full corner set behind each variable; ``rows`` are tagged
+    LPRows with integer data.  Nonnegativity of all variables is implicit.
     """
 
     variables: tuple
@@ -193,7 +186,7 @@ def build_constraints(gamma: BoundedComplex, *, equality_asphericity=False,
     corner_rows = []
     for f in gamma.faces:
         coeffs = {Corner(v, f.id): 1 for v in f.vertex_ids}
-        corner_rows.append((coeffs, "=" if equality_asphericity else "<=",
+        corner_rows.append((coeffs, EQ if equality_asphericity else LE,
                             f.size - 2, f"{ASPHERICITY} face {f.id}"))
     for lk in gamma.links():
         for c in enumerate_circuits(lk):
@@ -202,7 +195,7 @@ def build_constraints(gamma: BoundedComplex, *, equality_asphericity=False,
                 if count:
                     coeffs[corner] = coeffs.get(corner, 0) + count
             corner_rows.append(
-                (coeffs, ">=", 2,
+                (coeffs, GE, 2,
                  f"{ADMISSIBILITY} vertex {c.vertex} type ({c.ctype}) "
                  f"component {c.component} start {c.start}"))
 
@@ -223,11 +216,10 @@ def build_constraints(gamma: BoundedComplex, *, equality_asphericity=False,
         dense = [0] * len(variables)
         for corner, k in coeffs.items():
             dense[var_index[corner]] += k
-        key = (tuple(dense), rel, rhs)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(ConstraintRow(tuple(dense), rel, rhs, tag))
+        row = LPRow(tuple(dense), rel, rhs, tag)
+        if row not in seen:
+            seen.add(row)
+            rows.append(row)
     return ConstraintSystem(tuple(variables), orbits, tuple(rows))
 
 
@@ -288,16 +280,12 @@ def verify(gamma: BoundedComplex, weights) -> VerifyReport:
         if Fraction(weights[c]) < 0:
             violations.append(Violation(
                 f"{NONNEGATIVITY} corner ({c.vertex},{c.face})",
-                Fraction(weights[c]), ">=", 0))
+                Fraction(weights[c]), GE, 0))
     system = build_constraints(gamma)
+    x = [Fraction(weights[c]) for c in system.variables]
     for row in system.rows:
-        lhs = Fraction(0)
-        for coef, var in zip(row.coeffs, system.variables):
-            if coef:
-                lhs += coef * Fraction(weights[var])
-        ok = (lhs <= row.rhs if row.rel == "<="
-              else lhs >= row.rhs if row.rel == ">=" else lhs == row.rhs)
-        if not ok:
+        lhs = row.value(x)
+        if not row.holds(lhs):
             violations.append(Violation(row.tag, lhs, row.rel, row.rhs))
     return VerifyReport(not violations, tuple(violations))
 
@@ -330,10 +318,8 @@ def solve(gamma: BoundedComplex, *, equality_asphericity=False,
     objective = None
     if minimize_total:
         objective = tuple(len(orbit) for orbit in system.orbits)
-    lp = StandardFormLP(
-        len(system.variables),
-        tuple(LPRow(r.coeffs, r.rel, r.rhs) for r in system.rows),
-        objective=objective)
+    lp = StandardFormLP(len(system.variables), system.rows,
+                        objective=objective)
     res = solve_feasibility(lp)
     if res.status != FEASIBLE:
         return SolveResult(res.status, None, system, lp, res)

@@ -20,13 +20,9 @@ minimizes it; unboundedness is reported as its own outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-try:  # exact rationals with much faster arithmetic, if present
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
 
 LE = "<="
 GE = ">="
@@ -36,44 +32,62 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+_HOLDS = {LE: operator.le, GE: operator.ge, EQ: operator.eq}
+
+
+def _dot(coeffs, x) -> Fraction:
+    return sum((c * v for c, v in zip(coeffs, x) if c), Fraction(0))
+
 
 @dataclass(frozen=True)
 class LPRow:
+    """The constraint ``coeffs . x rel rhs``.
+
+    ``tag`` names the row in reports; it takes no part in equality, so two
+    rows that differ only in their tags are duplicates.
+    """
+
     coeffs: tuple
     rel: str
     rhs: object
+    tag: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if self.rel not in (LE, GE, EQ):
+        if self.rel not in _HOLDS:
             raise ValueError(f"bad relation {self.rel!r}")
-        object.__setattr__(self, "coeffs",
-                           tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+
+    def value(self, x) -> Fraction:
+        """The left-hand side at the point x."""
+        return _dot(self.coeffs, x)
+
+    def holds(self, value) -> bool:
+        """Whether a left-hand side of ``value`` satisfies the row."""
+        return _HOLDS[self.rel](value, self.rhs)
 
 
 @dataclass(frozen=True)
 class StandardFormLP:
-    """min objective . x  subject to rows, x >= 0 (objective optional)."""
+    """min objective . x  subject to rows, x >= 0 (objective optional).
+
+    All data must be exact: ints or Fractions.
+    """
 
     nvars: int
     rows: tuple
     objective: tuple | None = None
 
     def __post_init__(self):
-        rows = tuple(r if isinstance(r, LPRow) else LPRow(*r)
-                     for r in self.rows)
-        for r in rows:
-            if len(r.coeffs) != self.nvars:
-                raise ValueError("row length does not match variable count")
-        if len(set(rows)) != len(rows):
+        vectors = [r.coeffs for r in self.rows]
+        if self.objective is not None:
+            vectors.append(self.objective)
+        if any(len(v) != self.nvars for v in vectors):
+            raise ValueError("row or objective length does not match the "
+                             "variable count")
+        if len(set(self.rows)) != len(self.rows):
             raise ValueError("duplicate rows")
-        obj = self.objective
-        if obj is not None:
-            obj = tuple(Fraction(c) for c in obj)
-            if len(obj) != self.nvars:
-                raise ValueError("objective length does not match")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "objective", obj)
+        data = [c for v in vectors for c in v] + [r.rhs for r in self.rows]
+        if not all(isinstance(c, (int, Fraction)) for c in data):
+            raise TypeError("LP data must be ints or Fractions")
 
 
 @dataclass(frozen=True)
@@ -109,8 +123,8 @@ class _Tableau:
     """
 
     def __init__(self, ge_rows, nvars):
-        zero = _Q(0)
-        one = _Q(1)
+        zero = Fraction(0)
+        one = Fraction(1)
         m = len(ge_rows)
         self.nx = nvars
         self.m = m
@@ -124,7 +138,7 @@ class _Tableau:
         self.init_col = []
         art = nvars + m
         for i, (coeffs, b) in enumerate(ge_rows):
-            row = [_Q(c) for c in coeffs] + [zero] * (m + n_art)
+            row = [Fraction(c) for c in coeffs] + [zero] * (m + n_art)
             row[nvars + i] = -one  # surplus: a.x - s = b
             if self.negated[i]:
                 row = [-c for c in row]
@@ -137,7 +151,7 @@ class _Tableau:
                 self.init_col.append(art)
                 art += 1
             self.rows.append(row)
-            self.rhs.append(_Q(b))
+            self.rhs.append(Fraction(b))
         self.cost = [zero] * self.ncols
         for j in range(nvars + m, self.ncols):
             self.cost[j] = one
@@ -157,7 +171,7 @@ class _Tableau:
     def objective_value(self):
         return sum((self.cost[b] * self.rhs[r]
                     for r, b in enumerate(self.basis)
-                    if self.cost[b]), _Q(0))
+                    if self.cost[b]), Fraction(0))
 
     def _pivot(self, r, col):
         row = self.rows[r]
@@ -207,20 +221,13 @@ class _Tableau:
     def solution(self):
         x = [Fraction(0)] * self.ncols
         for r, b in enumerate(self.basis):
-            x[b] = Fraction(self.rhs[r].numerator, self.rhs[r].denominator)
+            x[b] = self.rhs[r]
         return x
 
 
 def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
     """Phase-1 simplex (plus phase-2 when an objective is given)."""
     ge_rows, back = _ge_form(lp)
-    if not ge_rows:
-        zero = Fraction(0)
-        witness = (zero,) * lp.nvars
-        if lp.objective is None:
-            return FeasibilityResult(FEASIBLE, witness=witness)
-        return FeasibilityResult(FEASIBLE, witness=witness,
-                                 objective_value=zero)
     tab = _Tableau(ge_rows, lp.nvars)
     # artificial columns never re-enter once left
     tab.run(range(lp.nvars + tab.m))
@@ -234,10 +241,9 @@ def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
             col = tab.init_col[k]
             u = sum((tab.cost[b] * tab.rows[r][col]
                      for r, b in enumerate(tab.basis) if tab.cost[b]),
-                    _Q(0))
+                    Fraction(0))
             if tab.negated[k]:
                 u = -u
-            u = Fraction(u.numerator, u.denominator)
             mults[orig] += sigma * u if lp.rows[orig].rel == EQ else u
         return FeasibilityResult(INFEASIBLE, certificate=tuple(mults))
     if lp.objective is None:
@@ -250,24 +256,15 @@ def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
                         if tab.rows[r][j] != 0), None)
             if col is not None:
                 tab._pivot(r, col)
-    tab.cost = [_Q(c) for c in lp.objective] + [_Q(0)] * (tab.ncols - lp.nvars)
+    tab.cost = ([Fraction(c) for c in lp.objective]
+                + [Fraction(0)] * (tab.ncols - lp.nvars))
     tab._rebuild_objective()
     status = tab.run(range(lp.nvars + tab.m))
     if status == "unbounded":
         return FeasibilityResult(UNBOUNDED)
     x = tab.solution()
-    val = tab.objective_value()
     return FeasibilityResult(FEASIBLE, witness=tuple(x[:lp.nvars]),
-                             objective_value=Fraction(val.numerator,
-                                                      val.denominator))
-
-
-def _row_value(coeffs, x):
-    acc = Fraction(0)
-    for c, v in zip(coeffs, x):
-        if c:
-            acc += c * v
-    return acc
+                             objective_value=tab.objective_value())
 
 
 def check_certificate(lp: StandardFormLP, result: FeasibilityResult) -> bool:
@@ -276,18 +273,11 @@ def check_certificate(lp: StandardFormLP, result: FeasibilityResult) -> bool:
         x = result.witness
         if x is None or len(x) != lp.nvars or any(v < 0 for v in x):
             return False
-        for row in lp.rows:
-            val = _row_value(row.coeffs, x)
-            if row.rel == LE and not val <= row.rhs:
-                return False
-            if row.rel == GE and not val >= row.rhs:
-                return False
-            if row.rel == EQ and val != row.rhs:
-                return False
-        if lp.objective is not None and result.objective_value is not None:
-            if _row_value(lp.objective, x) != result.objective_value:
-                return False
-        return True
+        if not all(row.holds(row.value(x)) for row in lp.rows):
+            return False
+        return (lp.objective is None
+                or (result.objective_value is not None
+                    and _dot(lp.objective, x) == result.objective_value))
     if result.status == INFEASIBLE:
         u = result.certificate
         if u is None or len(u) != len(lp.rows):

@@ -1,5 +1,6 @@
 import hashlib
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 
 from arrlab.cli import main, parse_weights, serialize_weights
 from arrlab.cells import Corner
+from arrlab.falk import ConstraintSystem, SolveResult
+from arrlab.lpcore import GE, LE, LPRow, StandardFormLP, solve_feasibility
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -125,6 +128,28 @@ def test_falk_solve_verify_roundtrip(tmp_path, capsys):
     assert out.startswith("PASS")
 
 
+def test_falk_solve_checks_farkas_certificate(monkeypatch, capsys):
+    rows = (LPRow((1,), GE, 2, "row a"), LPRow((1,), LE, 1, "row b"))
+    lp = StandardFormLP(1, rows)
+    res = solve_feasibility(lp)
+    corner = Corner(0, 0)
+    result = SolveResult(res.status, None,
+                         ConstraintSystem((corner,), ((corner,),), rows),
+                         lp, res)
+    monkeypatch.setattr("arrlab.cli.solve", lambda gam, **kw: result)
+    code, out, _ = run_cli(["falk", "solve", "@generic3"], capsys)
+    assert code == 1
+    assert out.splitlines()[:4] == [
+        "INFEASIBLE", "certificate multipliers (per constraint row):",
+        "  1 * [row a]", "  1 * [row b]"]
+    corrupted = replace(result, lp_result=replace(
+        res, certificate=(Fraction(0), Fraction(1))))
+    monkeypatch.setattr("arrlab.cli.solve", lambda gam, **kw: corrupted)
+    with pytest.raises(RuntimeError):
+        main(["falk", "solve", "@generic3"])
+    assert capsys.readouterr().out == ""
+
+
 def test_falk_verify_fail_exit_code(tmp_path, capsys):
     # all-ones weights violate the triangle asphericity row: 3 > 1
     weights = {Corner(0, 0): Fraction(1), Corner(1, 0): Fraction(1),
@@ -195,10 +220,13 @@ def test_render_generic3_gamma(tmp_path, capsys):
     assert len(polygons) == 1
 
 
-def test_render_with_weights_annotations(tmp_path, capsys, gamma_lid):
+def test_render_with_weights_annotations(tmp_path, capsys, gamma_lid,
+                                        lid_solution):
     wfile = tmp_path / "w.txt"
-    run_cli(["falk", "solve", "@icosidodecahedral", "-o", str(wfile)],
-            capsys)
+    wfile.write_text(serialize_weights(lid_solution.weights),
+                     encoding="utf-8")
+    assert hashlib.sha256(wfile.read_bytes()).hexdigest() == \
+        ICOSI_WEIGHTS_SHA256
     out_file = tmp_path / "lid.svg"
     code, _, _ = run_cli(
         ["render", "@icosidodecahedral", "-o", str(out_file),

@@ -1,8 +1,11 @@
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from arrlab.falk import build_constraints
 from arrlab.lpcore import (
     FEASIBLE,
     INFEASIBLE,
@@ -39,14 +42,12 @@ def test_corrupted_witness_rejected():
     res = solve_feasibility(lp)
     assert res.status == FEASIBLE
     bad = (res.witness[0] + 1,) + res.witness[1:]
-    from dataclasses import replace
     assert not check_certificate(lp, replace(res, witness=bad))
 
 
 def test_corrupted_certificate_rejected():
     lp = StandardFormLP(1, (LPRow((1,), ">=", 2), LPRow((1,), "<=", 1)))
     res = solve_feasibility(lp)
-    from dataclasses import replace
     assert not check_certificate(
         lp, replace(res, certificate=(F(-1), F(1))))
     assert not check_certificate(
@@ -62,6 +63,8 @@ def test_phase2_minimization():
     # optimum at x = 0, y = 4
     assert res.objective_value == 4
     assert res.witness == (0, 4)
+    assert not check_certificate(lp, replace(res, objective_value=None))
+    assert not check_certificate(lp, replace(res, objective_value=F(5)))
 
 
 def test_phase2_unbounded():
@@ -79,6 +82,20 @@ def test_equality_rows():
 def test_duplicate_rows_rejected():
     with pytest.raises(ValueError):
         StandardFormLP(1, (LPRow((1,), ">=", 1), LPRow((1,), ">=", 1)))
+    # tags name rows for reports; they do not make rows distinct
+    with pytest.raises(ValueError):
+        StandardFormLP(1, (LPRow((1,), ">=", 1, "a"),
+                           LPRow((1,), ">=", 1, "b")))
+
+
+@pytest.mark.parametrize("rows, objective", [
+    ((LPRow((0.5,), ">=", 1),), None),
+    ((LPRow((1,), ">=", 0.5),), None),
+    ((LPRow((1,), ">=", 1),), (0.5,)),
+], ids=["coefficient", "rhs", "objective"])
+def test_inexact_data_rejected(rows, objective):
+    with pytest.raises(TypeError):
+        StandardFormLP(1, rows, objective=objective)
 
 
 def test_row_length_checked():
@@ -90,6 +107,17 @@ def test_empty_system_feasible():
     lp = StandardFormLP(3, ())
     res = solve_feasibility(lp)
     assert res.status == FEASIBLE and res.witness == (0, 0, 0)
+
+
+def test_empty_system_with_objective():
+    # with no rows, only x >= 0 limits the objective
+    lp = StandardFormLP(1, (), objective=(-1,))
+    assert solve_feasibility(lp).status == UNBOUNDED
+    lp = StandardFormLP(2, (), objective=(0, 1))
+    res = solve_feasibility(lp)
+    assert res.status == FEASIBLE and res.witness == (0, 0)
+    assert res.objective_value == 0
+    assert check_certificate(lp, res)
 
 
 def test_determinism():
@@ -125,3 +153,18 @@ def test_rational_data_survives():
     assert res.status == FEASIBLE
     assert res.witness == (F(3, 14),)
     assert res.objective_value == F(3, 14)
+
+
+# SHA-256 of the row tags of the icosidodecahedral section's system, one
+# per line, as build_constraints emitted them before rows became LPRows
+LID_TAGS_SHA256 = \
+    "9285c0584ffa7cce6be809cddb9c36079c5e67f1f6628fd60e993ab09e462871"
+
+
+def test_falk_rows_are_tagged_lprows(gamma_lid):
+    rows = build_constraints(gamma_lid).rows
+    assert len(rows) == 341
+    assert all(type(r) is LPRow for r in rows)
+    assert all(type(c) is int for r in rows for c in r.coeffs)
+    tags = "".join(r.tag + "\n" for r in rows)
+    assert hashlib.sha256(tags.encode()).hexdigest() == LID_TAGS_SHA256
