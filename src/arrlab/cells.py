@@ -3,10 +3,14 @@
 The plane stratified by an arrangement decomposes into vertices (pairwise
 intersection points), edges (maximal pieces of lines between consecutive
 vertices: segments, rays, or whole vertex-free lines) and open convex faces.
-Faces are discovered by walking half-edges with the face on the left; rays
-are closed up through a circular order "at infinity" (direction angle, then
-perpendicular offset).  All orientation decisions are exact sign tests
+Faces are discovered by walking half-edges with the face on the left: a
+bounded face is a closed walk, an unbounded face the chain from its inward
+ray to its outward ray.  All orientation decisions are exact sign tests
 (quadrant class plus cross products); no trigonometry.
+
+Each face stands for a pair of antipodal chambers of the cone over the
+arrangement; their walls are the face's boundary lines plus the plane at
+infinity when the face reaches infinity along more than a point.
 
 The bounded complex keeps every vertex, the segment edges and the bounded
 faces; ids are deterministic: vertices sorted lexicographically by
@@ -27,13 +31,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .arrangement import (
-    ArrangementError,
-    CentralArrangement,
-    LineArrangement,
-    decone,
-    intersection_points,
-)
+from .arrangement import ArrangementError, LineArrangement, intersection_points
 from .scalar import sign
 
 SEGMENT = "segment"
@@ -183,85 +181,55 @@ def build_complex(arr: LineArrangement) -> CellComplex:
 
     germs = {}
     germ_pos = {}
-    germ_dir = {}
     for vid, items in germ_dirs.items():
         items.sort(key=cmp_to_key(lambda g1, g2: _direction_cmp(g1[1], g2[1])))
         germs[vid] = [eid for eid, _ in items]
-        for pos, (eid, d) in enumerate(items):
+        for pos, eid in enumerate(germs[vid]):
             germ_pos[(eid, vid)] = pos
-            germ_dir[(eid, vid)] = d
-
-    # circular order of the rays at infinity: by outward direction, ties
-    # (parallel rays) by perpendicular offset of the base point
-    rays = [e for e in edges if e.kind == RAY]
-
-    def ray_out_dir(e):
-        # the germ of a ray at its base vertex points outward by construction
-        return germ_dir[(e.id, e.v0)]
-
-    def ray_cmp(e1, e2):
-        d1, d2 = ray_out_dir(e1), ray_out_dir(e2)
-        c = _direction_cmp(d1, d2)
-        if c:
-            return c
-        p1 = vertices[e1.v0].point
-        p2 = vertices[e2.v0].point
-        off1 = d1[0] * p1[1] - d1[1] * p1[0]
-        off2 = d2[0] * p2[1] - d2[1] * p2[0]
-        return sign(off1 - off2)
-
-    rays.sort(key=cmp_to_key(ray_cmp))
-    ray_succ = {rays[k].id: rays[(k + 1) % len(rays)].id
-                for k in range(len(rays))}
 
     # half-edges: (edge, 0) runs along the stored orientation (segment
     # v0 -> v1, ray outward), (edge, 1) the reverse (ray: inward).
-    def next_halfedge(he):
-        eid, side = he
-        e = edges[eid]
-        if e.kind == RAY and side == 0:
-            return (ray_succ[eid], 1)
-        w = (e.v1 if side == 0 else e.v0) if e.kind == SEGMENT else e.v0
-        ring = germs[w]
-        pos = germ_pos[(eid, w)]
-        nxt = edges[ring[(pos - 1) % len(ring)]]
-        if nxt.kind == RAY:
-            return (nxt.id, 0)
-        return (nxt.id, 0) if nxt.v0 == w else (nxt.id, 1)
+    def head(he):
+        """The vertex a half-edge runs into; None for an outward ray."""
+        e = edges[he[0]]
+        return e.v1 if he[1] == 0 else e.v0
 
-    all_hes = [(e.id, s) for e in edges for s in (0, 1)]
-    he_face = {}
-    raw_faces = []
-    for start in all_hes:
-        if start in he_face:
-            continue
-        walk = []
-        he = start
-        while True:
-            he_face[he] = len(raw_faces)
-            walk.append(he)
-            he = next_halfedge(he)
+    def leaving(eid, w):
+        """The half-edge of edge `eid` that leaves vertex `w`."""
+        return (eid, 0 if edges[eid].v0 == w else 1)
+
+    def walk(start):
+        """Half-edges of the face left of `start`: at each head vertex turn
+        to the next germ clockwise, until an outward ray leaves to infinity
+        or the walk closes."""
+        chain = [start]
+        while (w := head(chain[-1])) is not None:
+            ring = germs[w]
+            he = leaving(ring[germ_pos[(chain[-1][0], w)] - 1], w)
             if he == start:
                 break
-        raw_faces.append(walk)
+            chain.append(he)
+        return chain
 
-    def walk_record(walk):
-        vids, eids = [], []
-        bounded = True
-        for eid, side in walk:
-            e = edges[eid]
-            eids.append(eid)
-            if e.kind == RAY:
-                bounded = False
-                if side == 1:
-                    vids.append(e.v0)
-            else:
-                vids.append(e.v1 if side == 0 else e.v0)
-        return bounded, tuple(vids), tuple(eids)
+    # inward rays go first: each walks the whole chain of its unbounded
+    # face, so the segment half-edges left over close up as bounded faces
+    starts = [(e.id, 1) for e in edges if e.kind == RAY]
+    starts += [(e.id, s) for e in edges if e.kind == SEGMENT for s in (0, 1)]
+    he_face = {}
+    records = []
+    for start in starts:
+        if start in he_face:
+            continue
+        chain = walk(start)
+        for he in chain:
+            he_face[he] = len(records)
+        vids = tuple(map(head, chain))
+        bounded = vids[-1] is not None
+        records.append((bounded, vids if bounded else vids[:-1],
+                        tuple(eid for eid, _ in chain)))
 
-    records = [walk_record(w) for w in raw_faces]
     order = sorted(
-        range(len(raw_faces)),
+        range(len(records)),
         key=lambda k: (not records[k][0],
                        tuple(sorted(records[k][1])),
                        tuple(sorted(records[k][2]))))
@@ -274,15 +242,8 @@ def build_complex(arr: LineArrangement) -> CellComplex:
 
     # face lying in the sector ccw of each germ = face left of the germ's
     # outgoing half-edge
-    face_of = {}
-    for vid, ring in germs.items():
-        for eid in ring:
-            e = edges[eid]
-            if e.kind == SEGMENT:
-                he = (eid, 0) if e.v0 == vid else (eid, 1)
-            else:
-                he = (eid, 0)
-            face_of[(eid, vid)] = new_id[he_face[he]]
+    face_of = {(eid, vid): new_id[he_face[leaving(eid, vid)]]
+               for vid, ring in germs.items() for eid in ring}
 
     return CellComplex(arr, vertices, edges, faces, germs, face_of)
 
@@ -421,25 +382,31 @@ def face_census(complex_: CellComplex):
     return census
 
 
-def is_simplicial(arr: CentralArrangement):
-    """Whether every chamber cone of a rank-3 central arrangement has
-    exactly 3 walls.
+def chamber_walls(complex_: CellComplex, face: FaceCell) -> int:
+    """Walls of the chamber over `face` in the cone of the arrangement.
 
-    Decones at the last canonical plane and inspects the section: every
-    bounded face must be a triangle and every unbounded face must have
-    exactly two boundary lines.  Returns (verdict, witness_face) with the
-    witness taken from the offending bounded faces first.
+    A bounded face has `size` walls.  An unbounded face has its boundary
+    lines, plus the plane at infinity unless its first and last edges lie
+    on distinct parallel lines (a strip or half-strip, which meets infinity
+    in a single point).
     """
-    if not isinstance(arr, CentralArrangement):
-        raise TypeError("simpliciality test applies to central arrangements")
-    if arr.rank() < 3:
-        raise ArrangementError("simpliciality test requires rank 3")
-    section = decone(arr.canonical(), len(arr.planes) - 1)
-    cx = build_complex(section)
-    for f in cx.faces:
-        if f.bounded and f.size != 3:
-            return False, f
-    for f in cx.faces:
-        if not f.bounded and len(f.boundary_lines) != 2:
+    if face.bounded:
+        return face.size
+    lines = complex_.arrangement.lines
+    first, last = (complex_.edges[e].line
+                   for e in (face.edge_ids[0], face.edge_ids[-1]))
+    strip = first != last and lines[first].is_parallel(lines[last])
+    return len(face.boundary_lines) + (not strip)
+
+
+def is_simplicial(complex_: CellComplex):
+    """Whether every chamber of the cone over a rank-3 section has exactly
+    3 walls.
+
+    Returns (verdict, witness_face); faces come bounded first, so a bounded
+    witness is preferred.
+    """
+    for f in complex_.faces:
+        if chamber_walls(complex_, f) != 3:
             return False, f
     return True, None

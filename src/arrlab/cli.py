@@ -27,6 +27,7 @@ from .cells import (
     Corner,
     bounded_complex,
     build_complex,
+    chamber_walls,
     face_census,
     gamma_of,
     is_simplicial,
@@ -36,7 +37,7 @@ from .factored import find_factorization, propagation_trace
 from .falk import WeightError, build_constraints, solve, verify
 from .lpcore import check_certificate
 from .poset import intersection_poset, poincare_polynomial, splits_over_integers
-from .scalar import ScalarError
+from .scalar import RATIONAL, ScalarError, parse_scalar
 from .svgout import render_svg
 
 
@@ -103,6 +104,8 @@ def _polygon_name(k: int) -> str:
 def cmd_analyze(args, out) -> int:
     arr = load_arrangement(args.arrangement)
     central = isinstance(arr, CentralArrangement)
+    section = as_line_arrangement(arr)
+    cx = build_complex(section)
     pi = poincare_polynomial(arr)
     split = splits_over_integers(pi)
     report = [
@@ -115,29 +118,21 @@ def cmd_analyze(args, out) -> int:
          else "{" + ",".join(map(str, split)) + "}"),
     ]
     if central:
-        simp, witness = is_simplicial(arr)
+        simp, witness = is_simplicial(cx)
         report.append(("simplicial", "true" if simp else "false"))
         if witness is not None:
-            if witness.bounded:
-                report.append(("simplicial_witness",
-                               f"{_polygon_name(witness.size)} chamber"))
-            else:
-                report.append(("simplicial_witness",
-                               f"unbounded chamber with "
-                               f"{len(witness.boundary_lines)} walls"))
-        idx = default_decone_index(arr)
-        report.append(("decone_plane", str(idx)))
-        section = decone(arr, idx)
+            walls = chamber_walls(cx, witness)
+            report.append(("simplicial_witness",
+                           f"{_polygon_name(walls)} chamber"))
+        report.append(("decone_plane", str(default_decone_index(arr))))
         report.append(("pi_decone", str(poincare_polynomial(section))))
     else:
-        section = arr
         report.append(("pi_cone", str(poincare_polynomial(cone(arr)))))
     if len(section.lines) >= 2:
         fac = find_factorization(section)
         report.append(("factored", "true" if fac is not None else "false"))
     else:
         report.append(("factored", "n/a"))
-    cx = build_complex(section)
     gam = bounded_complex(cx)
     report.append(("gamma_vertices", str(len(gam.vertices))))
     report.append(("gamma_edges", str(len(gam.edges))))
@@ -301,8 +296,8 @@ def parse_weights(text: str) -> dict:
                            f"'corner <vertex> <face> = <rational>'")
         try:
             corner = Corner(int(tokens[1]), int(tokens[2]))
-            value = Fraction(tokens[4])
-        except (ValueError, ZeroDivisionError) as exc:
+            value = parse_scalar(tokens[4], RATIONAL)
+        except ValueError as exc:
             raise CliError(f"weights line {lineno}: {exc}") from exc
         if corner in weights:
             raise CliError(f"weights line {lineno}: duplicate corner")

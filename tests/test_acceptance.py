@@ -7,9 +7,9 @@ pytest failure output identifies any criterion that does not hold.
 import random
 from fractions import Fraction
 
-from arrlab.arrangement import builtin, cone
-from arrlab.cells import CYCLE, Corner, Link, LinkComponent, gamma_of, \
-    is_simplicial, link_census
+from arrlab.arrangement import builtin, cone, decone, default_decone_index
+from arrlab.cells import CYCLE, Corner, Link, LinkComponent, build_complex, \
+    gamma_of, is_simplicial, link_census
 from arrlab.factored import find_factorization
 from arrlab.falk import (
     _raw_circuits,
@@ -62,10 +62,13 @@ def test_criterion_3_not_factored(lid):
 
 
 def test_criterion_4_simpliciality(icosi):
-    verdict, witness = is_simplicial(icosi)
+    verdict, witness = is_simplicial(
+        build_complex(decone(icosi, default_decone_index(icosi))))
     assert verdict is False
     assert witness is not None and witness.bounded and witness.size == 5
-    ok, none_witness = is_simplicial(builtin("boolean3"))
+    boolean3 = builtin("boolean3")
+    ok, none_witness = is_simplicial(
+        build_complex(decone(boolean3, default_decone_index(boolean3))))
     assert ok is True and none_witness is None
     done(4, "A_ID is not simplicial (pentagon chamber witness); the "
             "Boolean 3-arrangement is")

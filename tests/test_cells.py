@@ -2,15 +2,19 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from arrlab.arrangement import (
     ArrangementError,
     CentralArrangement,
+    CentralPlane,
     LineArrangement,
     builtin,
     cone,
+    decone,
+    default_decone_index,
 )
 from arrlab.cells import (
     CYCLE,
@@ -18,6 +22,7 @@ from arrlab.cells import (
     PATH,
     bounded_complex,
     build_complex,
+    chamber_walls,
     face_census,
     gamma_of,
     is_simplicial,
@@ -214,27 +219,24 @@ def test_deterministic_ids(lid):
 
 # -- simpliciality -----------------------------------------------------------
 
+def section_complex(arr):
+    return build_complex(decone(arr, default_decone_index(arr)))
+
+
 def test_boolean3_simplicial():
-    ok, witness = is_simplicial(builtin("boolean3"))
+    ok, witness = is_simplicial(section_complex(builtin("boolean3")))
     assert ok and witness is None
 
 
 def test_icosi_not_simplicial_pentagon_witness(icosi):
-    ok, witness = is_simplicial(icosi)
+    ok, witness = is_simplicial(section_complex(icosi))
     assert not ok
     assert witness.bounded and witness.size == 5
 
 
-def test_simplicial_requires_rank3():
-    pencil = CentralArrangement(((F(1), F(0), F(0)),
-                                 (F(0), F(1), F(0))), RATIONAL)
-    with pytest.raises(ArrangementError):
-        is_simplicial(pencil)
-
-
 def test_cone_generic3_not_simplicial_matches_wall_oracle():
     arr = cone(builtin("generic3"))
-    verdict, _ = is_simplicial(arr)
+    verdict, _ = is_simplicial(build_complex(builtin("generic3")))
     walls = chamber_wall_counts(arr)
     assert verdict == all(w == 3 for w in walls)
     assert verdict is False
@@ -247,4 +249,43 @@ def test_boolean3_matches_wall_oracle():
     walls = chamber_wall_counts(arr)
     assert all(w == 3 for w in walls)
     assert len(walls) == 8
-    assert is_simplicial(arr)[0]
+    assert is_simplicial(section_complex(arr))[0]
+
+
+def test_chamber_walls_of_strips_and_half_planes():
+    # x = 0, x = 1, y = 0: the half-strips 0 < x < 1 reach infinity in a
+    # point and have 3 walls, the four other faces 2 lines and infinity
+    cx = build_complex(lines((1, 0, 0), (1, 0, 1), (0, 1, 0)))
+    assert [chamber_walls(cx, f) for f in cx.faces] == [3] * 6
+    assert is_simplicial(cx) == (True, None)
+    # two parallel lines (a rank-2 cone): strip and half-planes, 2 walls
+    cx = build_complex(lines((1, 0, 0), (1, 0, 1)))
+    assert [chamber_walls(cx, f) for f in cx.faces] == [2] * 3
+
+
+SMALL_NORMALS = sorted({CentralPlane(*map(F, n)).normal()
+                        for n in product((-1, 0, 1), repeat=3) if any(n)})
+
+
+def random_central_arrangement(rng):
+    """4 to 6 distinct planes with normals in {-1,0,1}^3, of rank 3."""
+    while True:
+        normals = rng.sample(SMALL_NORMALS, rng.randint(4, 6))
+        arr = CentralArrangement(tuple(normals), RATIONAL)
+        if arr.rank() == 3:
+            return arr
+
+
+def test_chamber_walls_match_wall_oracle_at_every_decone_plane():
+    # each face of a section stands for a pair of antipodal chambers; the
+    # small normals give many parallel lines, hence strips and half-strips
+    rng = random.Random(4)
+    for _ in range(15):
+        arr = random_central_arrangement(rng)
+        walls = sorted(chamber_wall_counts(arr))
+        for i in range(len(arr)):
+            cx = build_complex(decone(arr, i))
+            doubled = sorted(w for f in cx.faces
+                             for w in (chamber_walls(cx, f),) * 2)
+            assert doubled == walls
+            assert is_simplicial(cx)[0] == all(w == 3 for w in walls)

@@ -63,6 +63,40 @@ def test_analyze_icosi(capsys, icosi):
     assert "falk: FEASIBLE" in out
 
 
+def write_planes(path, *normals):
+    path.write_text("field rational\n" + "".join(
+        f"plane {a} {b} {c}\n" for a, b, c in normals))
+    return str(path)
+
+
+def test_analyze_simplicial_with_parallel_lines(tmp_path, capsys):
+    # x = 0, x = z, y = 0, z = 0: all 12 chambers have 3 walls; the decone
+    # at z = 0 has two parallel lines bounding half-strips
+    ref = write_planes(tmp_path / "a.txt",
+                       (1, 0, 0), (1, 0, -1), (0, 1, 0), (0, 0, 1))
+    code, out, _ = run_cli(["analyze", ref], capsys)
+    assert code == 0
+    assert "simplicial: true\n" in out
+    assert "simplicial_witness" not in out
+
+
+def test_analyze_unbounded_witness_counts_infinity(tmp_path, capsys):
+    # four generic planes: every chamber that is not a triangle has 4 walls
+    ref = write_planes(tmp_path / "a.txt",
+                       (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+    code, out, _ = run_cli(["analyze", ref], capsys)
+    assert code == 0
+    assert "simplicial: false\n" in out
+    assert "simplicial_witness: quadrilateral chamber\n" in out
+
+
+def test_analyze_rank2_central_exits_2(tmp_path, capsys):
+    ref = write_planes(tmp_path / "a.txt", (1, 0, 0), (0, 1, 0))
+    code, out, err = run_cli(["analyze", ref], capsys)
+    assert code == 2 and out == ""
+    assert err == "arrlab: error: decone requires a rank-3 arrangement\n"
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run_cli(["analyze", "/nonexistent/arr.txt"], capsys)
     assert code == 2
@@ -200,12 +234,21 @@ def test_weights_round_trip():
     assert parse_weights(text) == weights
 
 
-def test_weights_parse_errors():
+def test_weights_parse_errors(tmp_path, capsys):
     from arrlab.cli import CliError
     with pytest.raises(CliError):
         parse_weights("corner 0 = 1\n")
     with pytest.raises(CliError):
         parse_weights("corner 0 0 = 1\ncorner 0 0 = 2\n")
+    # weights take the arrangement files' rational syntax, p or p/q
+    wfile = tmp_path / "w.txt"
+    for token in ("1e3", "1.5", "1_000", "1/0"):
+        wfile.write_text(f"corner 0 0 = {token}\n")
+        code, out, err = run_cli(["falk", "verify", "@generic3", str(wfile)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("arrlab: error: weights line 1: ")
+        assert err.count("\n") == 1
 
 
 def test_render_generic3_gamma(tmp_path, capsys):

@@ -83,7 +83,7 @@ GOLDEN_DIGESTS = {
     "analyze/golden":
         "f214276a0df16c044dc7fa93d1c615eb25b8b80c1e48e9cc2c1668bc2e5aeb0b",
     "analyze/cone":
-        "b38bba57a4786f242943de9f61397e71d604c31380937a767ed43cb0db82f6be",
+        "dbf5ed66ddded410cb8b3834abe3679e5002b5574c9d37c729a764ed4f79e906",
     "poset/generic3":
         "e9bf36dae05b81df7cd820f4d80be6275203d32309605700dd4d049c34bb4d89",
     "poset/boolean2":
