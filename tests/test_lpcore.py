@@ -168,3 +168,29 @@ def test_falk_rows_are_tagged_lprows(gamma_lid):
     assert all(type(c) is int for r in rows for c in r.coeffs)
     tags = "".join(r.tag + "\n" for r in rows)
     assert hashlib.sha256(tags.encode()).hexdigest() == LID_TAGS_SHA256
+
+
+def _result_line(res):
+    def fmt(values):
+        return "-" if values is None else " ".join(str(v) for v in values)
+    return (f"{res.status} | {fmt(res.witness)} | {fmt(res.certificate)} | "
+            f"{res.objective_value}\n")
+
+
+# SHA-256 of the results of 300 seeded random LPs, each solved as is and
+# with a seeded integer objective; pins every pivot-dependent output
+RANDOM_LP_RESULTS_SHA256 = \
+    "6de65ab911e94704310baec7b6ecfd637bed3e0a784fc72e49c3f9f0c4eaa243"
+
+
+def test_random_lp_results_digest():
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        lp = random_lp(rng)
+        objective = tuple(rng.randint(-3, 3) for _ in range(lp.nvars))
+        for case in (lp, replace(lp, objective=objective)):
+            res = solve_feasibility(case)
+            assert check_certificate(case, res) or res.status == UNBOUNDED
+            digest.update(_result_line(res).encode())
+    assert digest.hexdigest() == RANDOM_LP_RESULTS_SHA256
