@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from fractions import Fraction
 
 from .arrangement import (
@@ -291,13 +292,14 @@ def parse_weights(text: str) -> dict:
         if not stripped:
             continue
         tokens = stripped.split()
-        if (len(tokens) != 5 or tokens[0] != "corner" or tokens[3] != "="):
+        if (len(tokens) != 5 or tokens[0] != "corner" or tokens[3] != "="
+                or not all(t.isascii() and t.isdigit() for t in tokens[1:3])):
             raise CliError(f"weights line {lineno}: expected "
                            f"'corner <vertex> <face> = <rational>'")
+        corner = Corner(int(tokens[1]), int(tokens[2]))
         try:
-            corner = Corner(int(tokens[1]), int(tokens[2]))
             value = parse_scalar(tokens[4], RATIONAL)
-        except ValueError as exc:
+        except ScalarError as exc:
             raise CliError(f"weights line {lineno}: {exc}") from exc
         if corner in weights:
             raise CliError(f"weights line {lineno}: duplicate corner")
@@ -362,14 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_args, **_kwargs):
+    print(f"arrlab: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args, sys.stdout)
-    except (CliError, ArrangementError, ScalarError) as exc:
-        print(f"arrlab: error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args, sys.stdout)
+        except (CliError, ArrangementError, ScalarError) as exc:
+            print(f"arrlab: error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -98,14 +98,12 @@ def _raw_circuits(link: Link, m: int):
     return out
 
 
-def enumerate_circuits(link: Link, m: int | None = None):
+def enumerate_circuits(link: Link):
     """Applicable circuits of the four types, deduplicated by multiplicity
     vector (rotations and mirror walks collapse)."""
-    if m is None:
-        m = link.multiplicity
     seen = set()
     out = []
-    for c in _raw_circuits(link, m):
+    for c in _raw_circuits(link, link.multiplicity):
         key = (c.component, c.counts)
         if key not in seen:
             seen.add(key)

@@ -3,9 +3,12 @@
 Variables are implicitly nonnegative; rows are linear constraints with
 relation <=, >=, or =.  ``solve_feasibility`` runs a phase-1 simplex with
 Bland's anti-cycling rule over exact Fractions (deterministic pivot order,
-hence bit-identical reruns).  A feasible outcome carries a rational witness;
-an infeasible one carries Farkas multipliers; both are checkable by plain
-arithmetic in ``check_certificate`` without consulting any solver state.
+hence bit-identical reruns).  The tableau stores one column per variable and
+one surplus column per row; artificial variables live only in the basis and
+the cost vector.  A feasible outcome carries a rational witness; an
+infeasible one carries Farkas multipliers, read from the phase-1 reduced
+costs of the surplus columns.  Both are checkable by plain arithmetic in
+``check_certificate`` without consulting any solver state.
 
 Certificate convention: one multiplier per original row.  A multiplier u on
 a '>=' row scales the row as is, on a '<=' row it scales the negated row
@@ -117,49 +120,45 @@ class _Tableau:
     """Dense simplex tableau over Fractions with Bland's rule.
 
     Internal rows arrive in ge-form (coeffs . x >= rhs) and are stored as
-    equalities with a surplus column.  A row whose rhs is <= 0 is negated so
-    its slack can start basic; only the remaining rows (violated by x = 0)
-    receive an artificial column.
+    equalities with a surplus column, so each row has ``nvars + m`` entries:
+    x (columns 0 .. nvars-1) then one surplus per row.  A row whose rhs is
+    <= 0 is negated so its surplus can start basic.  Every other row starts
+    with an artificial variable basic; artificials get the ids
+    ``nvars + m + k`` in ``basis`` and ``cost`` but no stored column, since
+    none may re-enter the basis once it has left.
+
+    Farkas multipliers need no artificial columns: at a phase-1 optimum the
+    reduced cost of row k's surplus column, -e_k (or +e_k after the rhs
+    flip), is the multiplier of ge-form row k.
     """
 
     def __init__(self, ge_rows, nvars):
         zero = Fraction(0)
         one = Fraction(1)
         m = len(ge_rows)
-        self.nx = nvars
         self.m = m
-        self.negated = [b <= 0 for _, b in ge_rows]
-        n_art = sum(1 for neg in self.negated if not neg)
-        # columns: x (nvars) | slack (m) | artificial (n_art)
-        self.ncols = nvars + m + n_art
+        self.ncols = nvars + m
         self.rows = []
         self.rhs = []
         self.basis = []
-        self.init_col = []
-        art = nvars + m
+        self.cost = [zero] * self.ncols
         for i, (coeffs, b) in enumerate(ge_rows):
-            row = [Fraction(c) for c in coeffs] + [zero] * (m + n_art)
+            row = [Fraction(c) for c in coeffs] + [zero] * m
             row[nvars + i] = -one  # surplus: a.x - s = b
-            if self.negated[i]:
+            if b <= 0:
                 row = [-c for c in row]
                 b = -b
                 self.basis.append(nvars + i)
-                self.init_col.append(nvars + i)
             else:
-                row[art] = one
-                self.basis.append(art)
-                self.init_col.append(art)
-                art += 1
+                self.basis.append(len(self.cost))
+                self.cost.append(one)
             self.rows.append(row)
             self.rhs.append(Fraction(b))
-        self.cost = [zero] * self.ncols
-        for j in range(nvars + m, self.ncols):
-            self.cost[j] = one
         self._rebuild_objective()
 
     def _rebuild_objective(self):
         # reduced costs z_j = c_j - sum over rows of c_basis * T[r][j]
-        self.red = list(self.cost)
+        self.red = self.cost[:self.ncols]
         for r, b in enumerate(self.basis):
             cb = self.cost[b]
             if cb:
@@ -199,11 +198,12 @@ class _Tableau:
                 red[j] -= f * row[j]
         self.basis[r] = col
 
-    def run(self, allowed_cols):
+    def run(self):
         """Bland's rule simplex on the current cost; returns 'optimal' or
         'unbounded'."""
         while True:
-            col = next((j for j in allowed_cols if self.red[j] < 0), None)
+            col = next((j for j in range(self.ncols) if self.red[j] < 0),
+                       None)
             if col is None:
                 return "optimal"
             best = None
@@ -218,52 +218,42 @@ class _Tableau:
                 return "unbounded"
             self._pivot(best[1], col)
 
-    def solution(self):
-        x = [Fraction(0)] * self.ncols
+    def witness(self, nvars):
+        x = [Fraction(0)] * nvars
         for r, b in enumerate(self.basis):
-            x[b] = self.rhs[r]
-        return x
+            if b < nvars:
+                x[b] = self.rhs[r]
+        return tuple(x)
 
 
 def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
     """Phase-1 simplex (plus phase-2 when an objective is given)."""
     ge_rows, back = _ge_form(lp)
     tab = _Tableau(ge_rows, lp.nvars)
-    # artificial columns never re-enter once left
-    tab.run(range(lp.nvars + tab.m))
+    tab.run()
     if tab.objective_value() > 0:
-        # infeasible: read the duals y' off the columns that held the
-        # initial identity (they now hold inv(B)); a multiplier for the
-        # ge-form row is y' corrected for the rhs sign flip, and maps back
-        # to the original row through sigma for '=' rows.
+        # infeasible: the multiplier of ge-form row k is the reduced cost
+        # of its surplus column; '=' rows map back through sigma
         mults = [Fraction(0)] * len(lp.rows)
         for k, (orig, sigma) in enumerate(back):
-            col = tab.init_col[k]
-            u = sum((tab.cost[b] * tab.rows[r][col]
-                     for r, b in enumerate(tab.basis) if tab.cost[b]),
-                    Fraction(0))
-            if tab.negated[k]:
-                u = -u
+            u = tab.red[lp.nvars + k]
             mults[orig] += sigma * u if lp.rows[orig].rel == EQ else u
         return FeasibilityResult(INFEASIBLE, certificate=tuple(mults))
     if lp.objective is None:
-        x = tab.solution()
-        return FeasibilityResult(FEASIBLE, witness=tuple(x[:lp.nvars]))
+        return FeasibilityResult(FEASIBLE, witness=tab.witness(lp.nvars))
     # phase 2: drive out lingering basic artificials, then minimize
     for r in range(tab.m):
-        if tab.basis[r] >= lp.nvars + tab.m:
-            col = next((j for j in range(lp.nvars + tab.m)
-                        if tab.rows[r][j] != 0), None)
+        if tab.basis[r] >= tab.ncols:
+            col = next((j for j in range(tab.ncols) if tab.rows[r][j] != 0),
+                       None)
             if col is not None:
                 tab._pivot(r, col)
     tab.cost = ([Fraction(c) for c in lp.objective]
-                + [Fraction(0)] * (tab.ncols - lp.nvars))
+                + [Fraction(0)] * (len(tab.cost) - lp.nvars))
     tab._rebuild_objective()
-    status = tab.run(range(lp.nvars + tab.m))
-    if status == "unbounded":
+    if tab.run() == "unbounded":
         return FeasibilityResult(UNBOUNDED)
-    x = tab.solution()
-    return FeasibilityResult(FEASIBLE, witness=tuple(x[:lp.nvars]),
+    return FeasibilityResult(FEASIBLE, witness=tab.witness(lp.nvars),
                              objective_value=tab.objective_value())
 
 

@@ -226,7 +226,8 @@ class GoldenScalar:
 SQRT5 = GoldenScalar(0, 1)
 PHI = GoldenScalar(Fraction(1, 2), Fraction(1, 2))
 
-_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+# ASCII digits only: \d and int() also take other scripts' digits
+_RAT_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 def _parse_fraction(token: str) -> Fraction:

@@ -253,6 +253,21 @@ def test_parse_bad_field():
         parse_arrangement("field real\nline 1 0 0\n")
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("field rational\nline \u0661 0 0\n", 2),
+    ("field golden\nline 1 0~\u0660 0\n", 2),
+    ("line 1 0 0\n", 1),
+    ("field rational\npoint 1 0 0\n", 2),
+    ("", 1),
+    ("# no rows\n\n", 1),
+], ids=["arabic-indic-digit", "arabic-indic-golden", "no-field-row",
+        "unknown-keyword", "empty", "comments-only"])
+def test_parse_errors(text, lineno):
+    with pytest.raises(ParseError) as err:
+        parse_arrangement(text)
+    assert err.value.lineno == lineno
+
+
 def test_serialize_round_trip(icosi, lid):
     for arr in (icosi, lid, builtin("generic3")):
         text = serialize_arrangement(arr)

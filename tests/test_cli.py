@@ -97,6 +97,31 @@ def test_analyze_rank2_central_exits_2(tmp_path, capsys):
     assert err == "arrlab: error: decone requires a rank-3 arrangement\n"
 
 
+# SHA-256 of the stdout of analyze (after its input line) and gamma on the
+# boxed diagonals, whose link at the origin has two components
+MULTIPATH_ANALYZE_SHA256 = \
+    "8b26fd79e0eeb1aaf5376ded86286b2b8f97fcfcb799d7c08975b4c93896bf49"
+MULTIPATH_GAMMA_SHA256 = \
+    "b8a2a585098f27a633b8a500846149787fd585299a1e4e7c6802147b22aaed5a"
+
+
+@pytest.mark.parametrize("command, skip, digest", [
+    ("analyze", 1, MULTIPATH_ANALYZE_SHA256),
+    ("gamma", 0, MULTIPATH_GAMMA_SHA256),
+], ids=["analyze", "gamma"])
+def test_disconnected_link_warning_is_one_line(command, skip, digest,
+                                               tmp_path, capsys):
+    path = tmp_path / "a.txt"
+    path.write_text("field rational\nline 1 -1 0\nline 1 1 0\n"
+                    "line 1 0 1\nline 1 0 -1\n")
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert code == 0
+    assert err == ("arrlab: warning: vertex 2: disconnected link with 2 "
+                   "components; circuits are generated per component\n")
+    body = "".join(out.splitlines(keepends=True)[skip:])
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run_cli(["analyze", "/nonexistent/arr.txt"], capsys)
     assert code == 2
@@ -130,6 +155,20 @@ def test_factor_output_not_factored(capsys):
     assert code == 0
     assert "NOT FACTORED" in out
     assert "contradiction" in out
+
+
+def test_factor_not_factored_by_exhaustive_search(tmp_path, capsys):
+    # propagation from the seed forces nothing; every branch fails later
+    path = tmp_path / "arr.txt"
+    path.write_text("field rational\nline 1 1 -1\nline 1 -1 1\n"
+                    "line 1 0 -1\nline 0 1 -1\nline 1 -1 -1\nline 1 0 0\n")
+    code, out, _ = run_cli(["factor", str(path)], capsys)
+    assert code == 0
+    assert out == (
+        "NOT FACTORED\n"
+        "  line 0 -> part 1   [seed]\n"
+        "  (no contradiction by unit propagation alone; exhaustive search "
+        "excluded every assignment)\n")
 
 
 def test_factor_output_factored(tmp_path, capsys):
@@ -242,8 +281,11 @@ def test_weights_parse_errors(tmp_path, capsys):
         parse_weights("corner 0 0 = 1\ncorner 0 0 = 2\n")
     # weights take the arrangement files' rational syntax, p or p/q
     wfile = tmp_path / "w.txt"
-    for token in ("1e3", "1.5", "1_000", "1/0"):
-        wfile.write_text(f"corner 0 0 = {token}\n")
+    # in ASCII digits only: int() would read U+0660 as 0, U+0661 as 1
+    for line in [f"corner 0 0 = {token}"
+                 for token in ("1e3", "1.5", "1_000", "1/0", "\u0660")] + [
+            "corner \u0661 0 = 1", "corner 0 +0 = 1"]:
+        wfile.write_text(line + "\n")
         code, out, err = run_cli(["falk", "verify", "@generic3", str(wfile)],
                                  capsys)
         assert code == 2 and out == ""
@@ -315,6 +357,23 @@ def test_unknown_builtin(capsys):
     code, _, err = run_cli(["analyze", "@nope"], capsys)
     assert code == 2
     assert "unknown builtin" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("field rational\nline \u0661 0 0\nline 0 1 0\n",
+     "line 2: bad rational literal '\u0661'"),
+    ("line 1 0 0\n", "line 1: expected 'field rational' or 'field golden'"),
+    ("field rational\npoint 1 0 0\n",
+     "line 2: expected 'line' or 'plane', got 'point'"),
+    ("", "line 1: empty arrangement file"),
+], ids=["arabic-indic-digit", "no-field-row", "unknown-keyword", "empty"])
+def test_arrangement_parse_errors_exit_2(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    for command in ("poset", "analyze", "gamma"):
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"arrlab: error: {path}: {message}\n"
 
 
 def test_parse_error_propagates_with_context(tmp_path, capsys):

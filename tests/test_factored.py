@@ -6,6 +6,7 @@ import pytest
 from arrlab.arrangement import LineArrangement, builtin
 from arrlab.factored import (
     Factorization,
+    _State,
     find_factorization,
     is_valid_factorization,
     propagation_trace,
@@ -76,16 +77,34 @@ def test_validator_rejects_bad_partitions():
         arr, Factorization(frozenset({0}), frozenset({1})))
 
 
-def test_search_agrees_with_bruteforce():
+def _lines(*coeffs):
+    return LineArrangement(
+        tuple(tuple(Fraction(c) for c in abc) for abc in coeffs), RATIONAL)
+
+
+def test_search_agrees_with_bruteforce(monkeypatch):
+    # coefficients in {-1, 0, 1} make concurrent points common, so unit
+    # propagation can leave lines free and the search must branch; a
+    # 3-line pencil and the 6-line input of the CLI test always do
+    branches = []
+    copy = _State.copy
+    monkeypatch.setattr(_State, "copy",
+                        lambda self: branches.append(1) or copy(self))
     rng = random.Random(99)
-    for trial in range(40):
-        arr = random_line_arrangement(rng, rng.randint(2, 6))
+    inputs = [_lines((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+              _lines((1, 1, -1), (1, -1, 1), (1, 0, -1), (0, 1, -1),
+                     (1, -1, -1), (1, 0, 0))]
+    inputs += [random_line_arrangement(rng, rng.randint(2, 6),
+                                       coeff_range=coeff_range)
+               for coeff_range in (3, 1) for _ in range(40)]
+    for arr in inputs:
         fast = find_factorization(arr)
         slow = find_factorization_bruteforce(arr)
         assert (fast is None) == (slow is None), arr
         if fast is not None:
             assert is_valid_factorization(arr, fast)
             assert is_valid_factorization(arr, slow)
+    assert branches
 
 
 def test_relabeling_preserves_existence():

@@ -9,6 +9,7 @@ from arrlab.falk import build_constraints
 from arrlab.lpcore import (
     FEASIBLE,
     INFEASIBLE,
+    FeasibilityResult,
     LPRow,
     StandardFormLP,
     UNBOUNDED,
@@ -43,6 +44,10 @@ def test_corrupted_witness_rejected():
     assert res.status == FEASIBLE
     bad = (res.witness[0] + 1,) + res.witness[1:]
     assert not check_certificate(lp, replace(res, witness=bad))
+    # each of these satisfies x + y = 1 as far as it goes
+    assert not check_certificate(lp, replace(res, witness=(F(1),)))
+    assert not check_certificate(lp, replace(res, witness=(F(2), F(-1))))
+    assert not check_certificate(lp, replace(res, status=UNBOUNDED))
 
 
 def test_corrupted_certificate_rejected():
@@ -52,6 +57,15 @@ def test_corrupted_certificate_rejected():
         lp, replace(res, certificate=(F(-1), F(1))))
     assert not check_certificate(
         lp, replace(res, certificate=(F(0), F(0))))
+    # one multiplier short: the first two rows alone are contradictory
+    lp = StandardFormLP(1, lp.rows + (LPRow((1,), ">=", 0),))
+    res = solve_feasibility(lp)
+    assert res.certificate == (F(1), F(1), F(0))
+    assert not check_certificate(lp, replace(res, certificate=(F(1), F(1))))
+    # -x <= 1 read as -x >= 1 would be contradictory
+    lp = StandardFormLP(1, (LPRow((-1,), "<=", 1),))
+    assert not check_certificate(
+        lp, FeasibilityResult(INFEASIBLE, certificate=(F(-1),)))
 
 
 def test_phase2_minimization():
