@@ -13,8 +13,8 @@ Signs and comparisons are decided purely by rational arithmetic (for
 the signs of ``a`` and ``b``); no floating point enters any correctness path.
 
 Scalar text syntax, shared by every file format of the package: a rational is
-``p/q`` or ``p``; a golden scalar is ``p/q`` or ``p/q~r/s``, meaning
-``p/q + (r/s)*sqrt(5)``.  No whitespace inside a token.
+``p/q`` or ``p`` in ASCII digits; a golden scalar is ``p/q`` or ``p/q~r/s``,
+meaning ``p/q + (r/s)*sqrt(5)``.  No whitespace inside a token.
 """
 
 from __future__ import annotations

@@ -282,10 +282,10 @@ def test_weights_parse_errors(tmp_path, capsys):
     # weights take the arrangement files' rational syntax, p or p/q
     wfile = tmp_path / "w.txt"
     # in ASCII digits only: int() would read U+0660 as 0, U+0661 as 1
-    for line in [f"corner 0 0 = {token}"
-                 for token in ("1e3", "1.5", "1_000", "1/0", "\u0660")] + [
-            "corner \u0661 0 = 1", "corner 0 +0 = 1"]:
-        wfile.write_text(line + "\n")
+    for line in ("corner 0 0 = 1e3", "corner 0 0 = 1.5", "corner 0 0 = 1_000",
+                 "corner 0 0 = 1/0", "corner 0 0 = \u0660",
+                 "corner \u0661 0 = 1", "corner 0 +0 = 1"):
+        wfile.write_text(line + "\n", encoding="utf-8")
         code, out, err = run_cli(["falk", "verify", "@generic3", str(wfile)],
                                  capsys)
         assert code == 2 and out == ""
