@@ -107,13 +107,10 @@ class AffineLine:
     c: object
 
     def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
-        if sign(a) == 0 and sign(b) == 0:
+        if sign(self.a) == 0 and sign(self.b) == 0:
             raise ArrangementError("line with zero normal (a, b)")
-        pivot = a if sign(a) != 0 else b
-        object.__setattr__(self, "a", a / pivot)
-        object.__setattr__(self, "b", b / pivot)
-        object.__setattr__(self, "c", c / pivot)
+        for name, x in zip("abc", scale_first_nonzero(self.coeffs())):
+            object.__setattr__(self, name, x)
 
     def coeffs(self):
         return (self.a, self.b, self.c)
@@ -148,10 +145,9 @@ class CentralPlane:
     n3: object
 
     def __post_init__(self):
-        n1, n2, n3 = scale_first_nonzero((self.n1, self.n2, self.n3))
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "n2", n2)
-        object.__setattr__(self, "n3", n3)
+        for name, x in zip(("n1", "n2", "n3"),
+                           scale_first_nonzero(self.normal())):
+            object.__setattr__(self, name, x)
 
     def normal(self):
         return (self.n1, self.n2, self.n3)
@@ -320,9 +316,7 @@ def decone(arr: CentralArrangement, index: int) -> LineArrangement:
         a = dot3(m, basis[0])
         b = dot3(m, basis[1])
         c = -dot3(m, basis[2])
-        if sign(a) == 0 and sign(b) == 0:
-            # same plane as the one sent to infinity; excluded by distinctness
-            raise ArrangementError("plane coincides with the plane at infinity")
+        # (a, b) != 0: the planes are distinct
         lines.append(AffineLine(a, b, c))
     return LineArrangement(tuple(lines), arr.field).canonical()
 
@@ -369,11 +363,8 @@ def parse_arrangement(text: str):
             raise ParseError(f"expected 3 coefficients, got {len(tokens) - 1}",
                              lineno)
         try:
-            coeffs = tuple(parse_scalar(t, field) for t in tokens[1:])
-            cell = (CentralPlane(*(coerce_scalar(c, field) for c in coeffs))
-                    if kind == "plane"
-                    else AffineLine(*(coerce_scalar(c, field)
-                                      for c in coeffs)))
+            cell = (CentralPlane if kind == "plane" else AffineLine)(
+                *(parse_scalar(t, field) for t in tokens[1:]))
         except (ScalarError, ArrangementError) as exc:
             raise ParseError(str(exc), lineno) from exc
         if cell in (c for _, c in rows):

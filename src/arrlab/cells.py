@@ -86,9 +86,10 @@ class FaceCell:
         return len(self.vertex_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Corner:
-    """A vertex together with a bounded face whose closure contains it."""
+    """A vertex together with a bounded face whose closure contains it;
+    corners sort by vertex, then face."""
 
     vertex: int
     face: int
@@ -302,7 +303,7 @@ class BoundedComplex:
         corners = []
         for f in self.faces:
             corners.extend(Corner(v, f.id) for v in f.vertex_ids)
-        corners.sort(key=lambda c: (c.vertex, c.face))
+        corners.sort()
         self.corners = tuple(corners)
         self._links = {v.id: self._build_link(v.id) for v in self.vertices}
 

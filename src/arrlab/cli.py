@@ -252,10 +252,7 @@ def cmd_falk_solve(args, out) -> int:
 def cmd_falk_verify(args, out) -> int:
     gam = gamma_of(as_line_arrangement(load_arrangement(args.arrangement)))
     weights = read_weights(args.weights)
-    try:
-        report = verify(gam, weights)
-    except WeightError as exc:
-        raise CliError(str(exc)) from exc
+    report = verify(gam, weights)
     print(report.verdict, file=out)
     for v in report.violations:
         print(f"  {v.tag}: value {v.lhs} violates {v.rel} {v.rhs}", file=out)
@@ -265,10 +262,7 @@ def cmd_falk_verify(args, out) -> int:
 def cmd_render(args, out) -> int:
     arr = as_line_arrangement(load_arrangement(args.arrangement))
     weights = read_weights(args.weights) if args.weights else None
-    try:
-        doc = render_svg(arr, gamma=args.gamma, weights=weights)
-    except WeightError as exc:
-        raise CliError(str(exc)) from exc
+    doc = render_svg(arr, gamma=args.gamma, weights=weights)
     write_output(args.output, doc)
     print(f"wrote {args.output}", file=out)
     return 0
@@ -276,7 +270,7 @@ def cmd_render(args, out) -> int:
 
 def serialize_weights(weights) -> str:
     lines = []
-    for c in sorted(weights, key=lambda c: (c.vertex, c.face)):
+    for c in sorted(weights):
         lines.append(f"corner {c.vertex} {c.face} = {Fraction(weights[c])}")
     return "\n".join(lines) + "\n"
 
@@ -376,7 +370,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             return args.func(args, sys.stdout)
-        except (CliError, ArrangementError, ScalarError) as exc:
+        except (CliError, ArrangementError, ScalarError, WeightError) as exc:
             print(f"arrlab: error: {exc}", file=sys.stderr)
             return 2
 

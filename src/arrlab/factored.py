@@ -133,7 +133,6 @@ class _State:
             self._fail(f"{where}: part counts ({c1},{c2}) can no longer "
                        f"put a single line on either side")
             return None
-        forced_any = False
         for i in free:
             can1 = self._feasible(c1 + 1, c2, u - 1)
             can2 = self._feasible(c1, c2 + 1, u - 1)
@@ -148,10 +147,9 @@ class _State:
                                       f"({c1},{c2}), otherwise no side "
                                       f"keeps a single line)"):
                 return None
-            forced_any = True
             # counts changed; let the outer fixpoint loop revisit this flat
             return True
-        return forced_any
+        return False
 
     def complete(self) -> bool:
         return all(self.part)

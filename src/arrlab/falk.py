@@ -1,13 +1,17 @@
 """Weight-test machinery: circuits, constraint generation, verify and solve.
 
 A weight system assigns a nonnegative rational to every corner of the
-bounded complex.  Two families of linear conditions certify that the coned
-arrangement is aspherical:
+bounded complex.  The test asks for one that satisfies two families of
+linear conditions:
 
 * asphericity: on each bounded face, corner weights sum to at most
   (number of face vertices) - 2;
 * admissibility: on each vertex link, every circuit of the four generated
   types has weight sum at least 2.
+
+FEASIBLE means only that these conditions have a nonnegative solution; it
+does not by itself make the coned arrangement aspherical (``@generic3``
+passes with zero weights, yet its cone is not).
 
 Circuits are closed walks on a link; only their edge multiplicities matter
 here.  On a link component with edges e_1 .. (a path, or cyclically for a
@@ -164,10 +168,8 @@ def _corner_orbits(corners, symmetry):
     orbits = {}
     for c in corners:
         orbits.setdefault(find(c), []).append(c)
-    reps = sorted(orbits, key=lambda c: (c.vertex, c.face))
-    return tuple(reps), tuple(tuple(sorted(orbits[r],
-                                           key=lambda c: (c.vertex, c.face)))
-                              for r in reps)
+    reps = sorted(orbits)
+    return tuple(reps), tuple(tuple(sorted(orbits[r])) for r in reps)
 
 
 def build_constraints(gamma: BoundedComplex, *, equality_asphericity=False,
@@ -256,14 +258,14 @@ class VerifyReport:
         return "PASS" if self.ok else "FAIL"
 
 
-def check_corners(gamma: BoundedComplex, weights):
-    """Raise WeightError unless the weights are on exactly Gamma's corners."""
-    missing = [c for c in gamma.corners if c not in weights]
+def check_corners(corners, weights):
+    """Raise WeightError unless the weights are on exactly Gamma's
+    ``corners``."""
+    missing = [c for c in corners if c not in weights]
     if missing:
         raise WeightError(f"weight system misses {len(missing)} corners, "
                           f"first ({missing[0].vertex},{missing[0].face})")
-    unknown = sorted(set(weights) - set(gamma.corners),
-                     key=lambda c: (c.vertex, c.face))
+    unknown = sorted(set(weights) - set(corners))
     if unknown:
         raise WeightError(f"weight system names {len(unknown)} corner(s) "
                           f"outside Gamma, first ({unknown[0].vertex},"
@@ -272,7 +274,7 @@ def check_corners(gamma: BoundedComplex, weights):
 
 def verify(gamma: BoundedComplex, weights) -> VerifyReport:
     """Check a weight system against every constraint of the full system."""
-    check_corners(gamma, weights)
+    check_corners(gamma.corners, weights)
     violations = []
     for c in gamma.corners:
         if Fraction(weights[c]) < 0:
@@ -307,9 +309,10 @@ def solve(gamma: BoundedComplex, *, equality_asphericity=False,
 
     A feasible outcome is a total nonnegative weight system that passes
     ``verify``; an infeasible one carries the lpcore Farkas certificate,
-    which only certifies that this sufficient test fails (never that the
-    arrangement is not aspherical).  ``minimize_total`` additionally
-    minimizes the sum of all corner weights for small reproducible output.
+    which only certifies that the conditions have no nonnegative solution
+    (never that the arrangement is not aspherical).  ``minimize_total``
+    additionally minimizes the sum of all corner weights for small
+    reproducible output.
     """
     system = build_constraints(gamma, equality_asphericity=equality_asphericity,
                                symmetry=symmetry)

@@ -2,13 +2,15 @@
 
 Exactness discipline: all geometry (clipping, centroids, annotation anchors)
 is computed in the arrangement's field; scalars are converted to 12
-significant decimal digits only when written into the document, via an
-integer-arithmetic expansion (sqrt5 is substituted by a 40-digit rational
-approximation).  Nothing rendered here flows back into any computation.
+significant decimal digits only when written into the document, by one
+correctly rounded decimal division (sqrt5 is substituted by a 40-digit
+rational approximation).  Nothing rendered here flows back into any
+computation.
 """
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -19,6 +21,7 @@ from .scalar import GoldenScalar, sign
 
 _SQRT5_SCALE = 10 ** 40
 _SQRT5_APPROX = Fraction(isqrt(5 * _SQRT5_SCALE ** 2), _SQRT5_SCALE)
+_DIGITS = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
 def _to_fraction(x) -> Fraction:
@@ -27,32 +30,13 @@ def _to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def decimal_str(x, sig: int = 12) -> str:
-    """Plain decimal expansion of a scalar to `sig` significant digits."""
+def decimal_str(x) -> str:
+    """Plain decimal expansion of a scalar to 12 significant digits."""
     fr = _to_fraction(x)
     if fr == 0:
         return "0"
-    out = "-" if fr < 0 else ""
-    fr = abs(fr)
-    exp = 0
-    while fr >= 10:
-        fr /= 10
-        exp += 1
-    while fr < 1:
-        fr *= 10
-        exp -= 1
-    scaled = round(fr * 10 ** (sig - 1))
-    if scaled >= 10 ** sig:
-        scaled //= 10
-        exp += 1
-    digits = str(scaled)
-    if exp >= sig - 1:
-        return out + digits + "0" * (exp - sig + 1)
-    if exp >= 0:
-        head, tail = digits[:exp + 1], digits[exp + 1:].rstrip("0")
-        return out + head + ("." + tail if tail else "")
-    tail = ("0" * (-exp - 1) + digits).rstrip("0")
-    return out + "0." + tail
+    d = _DIGITS.divide(Decimal(fr.numerator), Decimal(fr.denominator))
+    return format(d.normalize(_DIGITS), "f")
 
 
 def _bbox(complex_, arr):
@@ -64,8 +48,6 @@ def _bbox(complex_, arr):
             # foot of the perpendicular from the origin
             d = ln.a * ln.a + ln.b * ln.b
             pts.append((ln.a * ln.c / d, ln.b * ln.c / d))
-        if not pts:
-            pts = [(Fraction(0), Fraction(0))]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     xmin, xmax = min(xs), max(xs)
@@ -79,28 +61,22 @@ def _bbox(complex_, arr):
 
 
 def _clip_line(ln, box):
-    """Exact clip of a full line to the box; None if it misses."""
+    """Exact clip of a full line to the box.
+
+    Every line crosses the box: through a vertex, which the box contains,
+    or, when no two lines meet, through its own anchor point."""
     xmin, xmax, ymin, ymax = box
     if sign(ln.b) != 0:
         p0 = (xmin, (ln.c - ln.a * xmin) / ln.b)
     else:
         p0 = (ln.c / ln.a, ymin)
     dx, dy = ln.direction()
-    lo, hi = None, None
-    for coord, d, vmin, vmax in ((p0[0], dx, xmin, xmax),
-                                 (p0[1], dy, ymin, ymax)):
-        if sign(d) == 0:
-            if not (vmin <= coord <= vmax):
-                return None
-            continue
-        t1 = (vmin - coord) / d
-        t2 = (vmax - coord) / d
-        if t1 > t2:
-            t1, t2 = t2, t1
-        lo = t1 if lo is None or t1 > lo else lo
-        hi = t2 if hi is None or t2 < hi else hi
-    if lo is None or hi is None or lo > hi:
-        return None
+    spans = [sorted(((vmin - coord) / d, (vmax - coord) / d))
+             for coord, d, vmin, vmax in ((p0[0], dx, xmin, xmax),
+                                          (p0[1], dy, ymin, ymax))
+             if sign(d) != 0]
+    lo = max(t1 for t1, _ in spans)
+    hi = min(t2 for _, t2 in spans)
     a = (p0[0] + lo * dx, p0[1] + lo * dy)
     b = (p0[0] + hi * dx, p0[1] + hi * dy)
     return a, b
@@ -120,8 +96,8 @@ def render_svg(arr: LineArrangement, *, gamma: bool = False,
     corner with its value, anchored 30 percent of the way from the vertex
     toward the face centroid.
     """
-    parts = []
     if len(arr.lines) == 0:
+        check_corners((), weights or {})
         return ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                 'viewBox="0 0 200 40">\n'
                 '<text x="10" y="25" font-size="12">empty arrangement'
@@ -134,23 +110,20 @@ def render_svg(arr: LineArrangement, *, gamma: bool = False,
     stroke = decimal_str((xmax - xmin) / 300)
     bold = decimal_str((xmax - xmin) * 3 / 300)
     fontsize = decimal_str((xmax - xmin) / 40)
-    parts.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-                 f'viewBox="{vb}">')
-    gam = bounded_complex(cx) if (gamma or weights) else None
-    if gam is not None and gamma:
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'viewBox="{vb}">']
+    gam = bounded_complex(cx) if (gamma or weights is not None) else None
+    if gamma:
         for f in gam.faces:
             pts = " ".join(_xy(cx.vertices[v].point) for v in f.vertex_ids)
             parts.append(f'<polygon points="{pts}" fill="#c8d8f0" '
                          f'stroke="none"/>')
-    for i, ln in enumerate(arr.lines):
-        seg = _clip_line(ln, box)
-        if seg is None:
-            continue
-        (x1, y1), (x2, y2) = seg
+    for ln in arr.lines:
+        (x1, y1), (x2, y2) = _clip_line(ln, box)
         parts.append(f'<line x1="{decimal_str(x1)}" y1="{decimal_str(-y1)}" '
                      f'x2="{decimal_str(x2)}" y2="{decimal_str(-y2)}" '
                      f'stroke="#404040" stroke-width="{stroke}"/>')
-    if gam is not None and gamma:
+    if gamma:
         # bounded edges as <path> so that <line> elements remain one per
         # arrangement line
         for e in gam.edges:
@@ -160,9 +133,7 @@ def render_svg(arr: LineArrangement, *, gamma: bool = False,
                          f'stroke="#000000" stroke-width="{bold}" '
                          f'fill="none"/>')
     if weights is not None:
-        if gam is None:
-            gam = bounded_complex(cx)
-        check_corners(gam, weights)
+        check_corners(gam.corners, weights)
         for c in gam.corners:
             v = cx.vertices[c.vertex].point
             f = gam.faces[c.face]

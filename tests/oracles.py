@@ -5,7 +5,7 @@ algorithm than the library path it checks: Poincare polynomials by the
 subset alternating sum, factorizations by trying every assignment, LP
 feasibility by Fourier-Motzkin elimination, circuit multiplicities by
 literally walking the circuit, chamber wall counts by sign-vector
-enumeration.
+enumeration, SVG decimals by a digit loop over Fractions.
 """
 
 from __future__ import annotations
@@ -293,3 +293,31 @@ def random_lp(rng, max_vars=12, max_rows=30) -> StandardFormLP:
     if not rows:
         rows = [LPRow((1,) + (0,) * (nvars - 1), ">=", 0)]
     return StandardFormLP(nvars, tuple(rows))
+
+
+def decimal_str_reference(fr: Fraction, sig: int = 12) -> str:
+    """Plain decimal expansion of a Fraction to ``sig`` significant digits,
+    ties to even: normalize into [1, 10), round, carry into the exponent."""
+    if fr == 0:
+        return "0"
+    out = "-" if fr < 0 else ""
+    fr = abs(fr)
+    exp = 0
+    while fr >= 10:
+        fr /= 10
+        exp += 1
+    while fr < 1:
+        fr *= 10
+        exp -= 1
+    scaled = round(fr * 10 ** (sig - 1))
+    if scaled >= 10 ** sig:
+        scaled //= 10
+        exp += 1
+    digits = str(scaled)
+    if exp >= sig - 1:
+        return out + digits + "0" * (exp - sig + 1)
+    if exp >= 0:
+        head, tail = digits[:exp + 1], digits[exp + 1:].rstrip("0")
+        return out + head + ("." + tail if tail else "")
+    tail = ("0" * (-exp - 1) + digits).rstrip("0")
+    return out + "0." + tail

@@ -51,6 +51,14 @@ def test_duplicate_lines_rejected():
                          (Fraction(2), Fraction(0), Fraction(0))), RATIONAL)
 
 
+def test_central_arrangement_rejects_bad_data():
+    x, y = (Fraction(1), Fraction(0), Fraction(0)), (0, Fraction(2), 0)
+    with pytest.raises(ArrangementError, match="duplicate plane"):
+        CentralArrangement((x, y, (Fraction(3), 0, 0)), RATIONAL)
+    with pytest.raises(ArrangementError, match="label count"):
+        CentralArrangement((x, y), RATIONAL, ("edge",))
+
+
 def test_icosidodecahedral_shape(icosi):
     assert len(icosi.planes) == 16
     assert icosi.labels.count("edge") == 6

@@ -42,6 +42,17 @@ def test_analyze_generic3(capsys):
     assert "falk: FEASIBLE" in out
 
 
+def test_one_line_factorization_not_applicable(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("field rational\nline 1 0 0\n")
+    code, out, _ = run_cli(["analyze", str(path)], capsys)
+    assert code == 0
+    assert "\nfactored: n/a\n" in out
+    code, out, err = run_cli(["factor", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "arrlab: error: factorization needs at least 2 lines\n"
+
+
 def readme_report():
     """The report block that follows the analyze command in README.md."""
     lines = README.read_text(encoding="utf-8").splitlines()
@@ -345,6 +356,28 @@ def test_render_empty_arrangement(tmp_path, capsys):
     assert "empty" in "".join(root.itertext())
 
 
+@pytest.mark.parametrize("weights, code", [
+    ("corner 0 0 = 1\n", 2),
+    ("", 0),
+], ids=["unknown-corner", "no-corners"])
+def test_render_empty_arrangement_weights(weights, code, tmp_path, capsys):
+    # Gamma of no lines has no corners: weights must name none of them
+    path = tmp_path / "empty.txt"
+    path.write_text("field rational\n")
+    wfile = tmp_path / "w.txt"
+    wfile.write_text(weights)
+    out_file = tmp_path / "empty.svg"
+    got, out, err = run_cli(["render", str(path), "-o", str(out_file),
+                             "--weights", str(wfile)], capsys)
+    assert got == code
+    if code:
+        assert out == "" and not out_file.exists()
+        assert err == ("arrlab: error: weight system names 1 corner(s) "
+                       "outside Gamma, first (0,0)\n")
+    else:
+        assert "empty" in "".join(ET.parse(out_file).getroot().itertext())
+
+
 def test_render_deterministic(tmp_path, capsys):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"
@@ -366,7 +399,9 @@ def test_unknown_builtin(capsys):
     ("field rational\npoint 1 0 0\n",
      "line 2: expected 'line' or 'plane', got 'point'"),
     ("", "line 1: empty arrangement file"),
-], ids=["arabic-indic-digit", "no-field-row", "unknown-keyword", "empty"])
+    ("field rational\nplane 0 0 0\n", "line 2: zero coefficient vector"),
+], ids=["arabic-indic-digit", "no-field-row", "unknown-keyword", "empty",
+        "zero-plane"])
 def test_arrangement_parse_errors_exit_2(text, message, tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")

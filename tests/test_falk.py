@@ -302,6 +302,10 @@ def test_bad_symmetry_rejected(gamma_lid):
     perm[a], perm[b] = b, a
     with pytest.raises(SymmetryError):
         build_constraints(gamma_lid, symmetry=[perm])
+    # a map that sends two corners to one is no permutation at all
+    perm[a] = a
+    with pytest.raises(SymmetryError, match="not a bijection"):
+        build_constraints(gamma_lid, symmetry=[perm])
 
 
 def test_solve_verify_roundtrip_on_randoms():

@@ -112,6 +112,11 @@ def test_inexact_data_rejected(rows, objective):
         StandardFormLP(1, rows, objective=objective)
 
 
+def test_bad_relation_rejected():
+    with pytest.raises(ValueError, match="bad relation"):
+        LPRow((1,), "<", 0)
+
+
 def test_row_length_checked():
     with pytest.raises(ValueError):
         StandardFormLP(2, (LPRow((1,), ">=", 1),))
