@@ -23,7 +23,7 @@ from arrlab.arrangement import (
 from arrlab.factored import Factorization
 from arrlab.lpcore import LPRow, StandardFormLP, solve_feasibility
 from arrlab.poset import IntPolynomial
-from arrlab.scalar import RATIONAL, sign
+from arrlab.scalar import GOLDEN, RATIONAL, GoldenScalar, sign
 
 
 def whitney_poincare(arr) -> IntPolynomial:
@@ -264,6 +264,23 @@ def random_line_arrangement(rng, nlines: int, *, coeff_range=3,
         seen.add(ln.coeffs())
         lines.append(ln)
     return LineArrangement(tuple(lines), RATIONAL)
+
+
+def golden_line_arrangement(rng, nlines):
+    """Random small-coefficient line arrangement over Q(sqrt5), with at
+    least two non-parallel lines."""
+    while True:
+        lines = set()
+        while len(lines) < nlines:
+            a, b, c = (GoldenScalar(rng.randint(-2, 2), rng.randint(-1, 1))
+                       for _ in range(3))
+            if a.a == a.b == b.a == b.b == 0:
+                continue
+            lines.add(AffineLine(a, b, c))
+        arr = LineArrangement(tuple(sorted(lines, key=AffineLine.coeffs)),
+                              GOLDEN)
+        if any(not arr.lines[0].is_parallel(ln) for ln in arr.lines[1:]):
+            return arr
 
 
 def essential_random_line_arrangement(rng, nlines: int, **kw):

@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from arrlab.arrangement import LineArrangement, builtin
+from arrlab.arrangement import LineArrangement, builtin, serialize_arrangement
+from arrlab.cli import main
 from arrlab.factored import (
     Factorization,
     _State,
@@ -13,7 +15,11 @@ from arrlab.factored import (
 )
 from arrlab.scalar import RATIONAL
 
-from oracles import find_factorization_bruteforce, random_line_arrangement
+from oracles import (
+    find_factorization_bruteforce,
+    golden_line_arrangement,
+    random_line_arrangement,
+)
 
 
 def test_two_generic_lines():
@@ -116,3 +122,46 @@ def test_relabeling_preserves_existence():
         rng.shuffle(perm)
         shuffled = LineArrangement(tuple(perm), arr.field)
         assert (find_factorization(shuffled) is not None) == exists
+
+
+# lines 1 and 4 are parallel; propagation from the seed puts them in
+# different parts
+PARALLEL_CONFLICT = ((1, 0, 0), (1, -1, -1), (1, 1, 0), (0, 1, -1),
+                     (1, -1, 1))
+
+# SHA-256 over the exit code and stdout of `arrlab factor` on the corpus
+FACTOR_CORPUS_SHA256 = \
+    "b9cc4698296e51552e16721a5cb1d349e88039aa843c58b552c3a43c155f4594"
+
+
+def factor_corpus():
+    """Seeded `arrlab factor` inputs: rational with parallel lines, with
+    coefficients in {-1, 0, 1} (the search branches), over Q(sqrt5), and
+    the parallel-conflict input."""
+    rng = random.Random(2024)
+    corpus = [random_line_arrangement(rng, rng.randint(2, 7),
+                                      coeff_range=coeff_range)
+              for coeff_range in (3, 1) for _ in range(150)]
+    corpus += [golden_line_arrangement(rng, rng.randint(2, 6))
+               for _ in range(100)]
+    corpus.append(_lines(*PARALLEL_CONFLICT))
+    return corpus
+
+
+def test_factor_outputs_digest(tmp_path, capsys):
+    path = tmp_path / "arr.txt"
+    digest = hashlib.sha256()
+    endings = set()
+    for arr in factor_corpus():
+        path.write_text(serialize_arrangement(arr), encoding="utf-8")
+        code = main(["factor", str(path)])
+        out = capsys.readouterr().out
+        digest.update(f"exit {code}\n{out}".encode("utf-8"))
+        last = out.splitlines()[-1]
+        endings.add("factored" if out.startswith("FACTORED")
+                    else "search" if "exhaustive search" in last
+                    else "parallel" if "parallel lines" in last
+                    else "point")
+    # the corpus reaches every kind of answer the command gives
+    assert endings == {"factored", "search", "parallel", "point"}
+    assert digest.hexdigest() == FACTOR_CORPUS_SHA256

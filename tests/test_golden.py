@@ -14,33 +14,10 @@ import random
 
 import pytest
 
-from arrlab.arrangement import (
-    AffineLine,
-    LineArrangement,
-    cone,
-    serialize_arrangement,
-)
+from arrlab.arrangement import cone, serialize_arrangement
 from arrlab.cli import main
-from arrlab.scalar import GOLDEN, GoldenScalar
 
-from oracles import essential_random_line_arrangement
-
-
-def golden_line_arrangement(rng, nlines):
-    """Random small-coefficient line arrangement over Q(sqrt5), with at
-    least two non-parallel lines."""
-    while True:
-        lines = set()
-        while len(lines) < nlines:
-            a, b, c = (GoldenScalar(rng.randint(-2, 2), rng.randint(-1, 1))
-                       for _ in range(3))
-            if a.a == a.b == b.a == b.b == 0:
-                continue
-            lines.add(AffineLine(a, b, c))
-        arr = LineArrangement(tuple(sorted(lines, key=AffineLine.coeffs)),
-                              GOLDEN)
-        if any(not arr.lines[0].is_parallel(ln) for ln in arr.lines[1:]):
-            return arr
+from oracles import essential_random_line_arrangement, golden_line_arrangement
 
 
 def _seeded_inputs():
