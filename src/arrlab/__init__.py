@@ -3,8 +3,9 @@
 Construction and analysis of central plane arrangements in R^3 and affine
 line arrangements in the plane over exact ordered fields (Q and Q(sqrt5)):
 intersection posets and Poincare polynomials, factorization search, the
-bounded complex with vertex links, and the circuit/weight linear feasibility
-test that certifies asphericity of the coned arrangement.
+bounded complex with vertex links, and the linear feasibility test of the
+face and circuit weight conditions (FEASIBLE means only that these
+conditions have a nonnegative solution, not that the cone is K(pi,1)).
 """
 
 from .arrangement import (
@@ -46,7 +47,6 @@ from .falk import (
     WeightError,
     build_constraints,
     enumerate_circuits,
-    evaluate_circuit,
     solve,
     verify,
 )
@@ -70,9 +70,7 @@ from .scalar import (
     GoldenScalar,
     PHI,
     RATIONAL,
-    Rational,
     SQRT5,
-    compare,
     format_scalar,
     parse_scalar,
     sign,

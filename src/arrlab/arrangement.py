@@ -177,9 +177,6 @@ class LineArrangement:
     def __len__(self):
         return len(self.lines)
 
-    def __iter__(self):
-        return iter(self.lines)
-
     def canonical(self) -> "LineArrangement":
         """Copy with lines in canonical (lexicographic) order."""
         return LineArrangement(tuple(sorted(self.lines, key=AffineLine.coeffs)),
@@ -223,9 +220,6 @@ class CentralArrangement:
 
     def __len__(self):
         return len(self.planes)
-
-    def __iter__(self):
-        return iter(self.planes)
 
     def rank(self) -> int:
         return matrix_rank([pl.normal() for pl in self.planes])

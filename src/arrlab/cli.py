@@ -305,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arrlab",
         description="Exact analysis of line/plane arrangements: intersection "
-                    "posets, bounded complexes, and the weight test for "
-                    "asphericity certificates.")
+                    "posets, bounded complexes, and a linear feasibility "
+                    "test of face and circuit weight conditions (FEASIBLE "
+                    "does not by itself show that the cone is K(pi,1)).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full report on an arrangement")

@@ -78,21 +78,14 @@ class _State:
         self.contradiction = message
         return False
 
-    def _set(self, line: int, part: int, reason: str) -> bool:
-        if self.part[line] == part:
-            return True
-        if self.part[line] != 0:
-            return self._fail(f"line {line} forced into part {part} "
-                              f"({reason}) but already in part "
-                              f"{self.part[line]}")
+    def _set(self, line: int, part: int, reason: str) -> None:
+        # callers pass only unassigned lines
         self.part[line] = part
         self.trace.append((line, part, reason))
-        return True
 
     def assign(self, line: int, part: int, reason: str) -> bool:
         """Set one line and propagate to a fixpoint; False on contradiction."""
-        if not self._set(line, part, reason):
-            return False
+        self._set(line, part, reason)
         changed = True
         while changed:
             changed = False
@@ -102,12 +95,10 @@ class _State:
                     return self._fail(f"parallel lines {i} and {j} lie in "
                                       f"different parts but never meet")
                 if a and not b:
-                    if not self._set(j, a, f"parallel to line {i}"):
-                        return False
+                    self._set(j, a, f"parallel to line {i}")
                     changed = True
                 elif b and not a:
-                    if not self._set(i, b, f"parallel to line {j}"):
-                        return False
+                    self._set(i, b, f"parallel to line {j}")
                     changed = True
             for line_set in self.flats:
                 step = self._propagate_flat(line_set)
@@ -133,40 +124,28 @@ class _State:
             self._fail(f"{where}: part counts ({c1},{c2}) can no longer "
                        f"put a single line on either side")
             return None
-        for i in free:
-            can1 = self._feasible(c1 + 1, c2, u - 1)
-            can2 = self._feasible(c1, c2 + 1, u - 1)
-            if can1 and can2:
-                continue
-            if not can1 and not can2:
-                self._fail(f"{where}: line {i} fits in neither part, "
-                           f"counts ({c1},{c2})")
-                return None
-            part = 1 if can1 else 2
-            if not self._set(i, part, f"{where} forces it (counts "
-                                      f"({c1},{c2}), otherwise no side "
-                                      f"keeps a single line)"):
-                return None
-            # counts changed; let the outer fixpoint loop revisit this flat
-            return True
-        return False
-
-    def complete(self) -> bool:
-        return all(self.part)
-
-    def final_valid(self) -> bool:
-        if not (1 in self.part and 2 in self.part):
+        # with u >= 1 free lines left, a line that does not fit in part 1
+        # fits in part 2; every free line faces the same choice, so the
+        # first one is forced or none is
+        if not free:
             return False
-        for line_set in self.flats:
-            c1 = sum(1 for i in line_set if self.part[i] == 1)
-            if c1 != 1 and len(line_set) - c1 != 1:
+        if self._feasible(c1 + 1, c2, u - 1):
+            if self._feasible(c1, c2 + 1, u - 1):
                 return False
+            part = 1
+        else:
+            part = 2
+        self._set(free[0], part, f"{where} forces it (counts ({c1},{c2}), "
+                                 f"otherwise no side keeps a single line)")
+        # counts changed; let the outer fixpoint loop revisit this flat
         return True
 
 
 def _search(state: _State):
-    if state.complete():
-        return state if state.final_valid() else None
+    if all(state.part):
+        # the fixpoint pass that completed the assignment checked every
+        # point and parallel pair, and line 0 seeds part 1
+        return state if 2 in state.part else None
     line = state.part.index(0)
     for part in (1, 2):
         child = state.copy()

@@ -115,17 +115,6 @@ def enumerate_circuits(link: Link):
     return out
 
 
-def evaluate_circuit(weights, circuit: Circuit) -> Fraction:
-    """Multiplicity-weighted sum of corner labels along the circuit."""
-    total = Fraction(0)
-    for count, corner in zip(circuit.counts, circuit.corners):
-        if count:
-            if corner not in weights:
-                raise WeightError(f"missing corner {corner}")
-            total += count * Fraction(weights[corner])
-    return total
-
-
 ASPHERICITY = "asphericity"
 ADMISSIBILITY = "admissibility"
 NONNEGATIVITY = "nonnegativity"

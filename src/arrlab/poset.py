@@ -39,14 +39,7 @@ class IntPolynomial:
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self.coeff(i) + other.coeff(i)
-                                   for i in range(n)))
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -85,8 +78,6 @@ class Flat:
     id: int
     rank: int
     hyperplanes: frozenset
-    carrier: tuple  # descriptive: ('space',), ('hyperplane', i),
-    #                 ('point', (x, y)), ('axis', direction), ('origin',)
 
 
 class IntersectionPoset:
@@ -127,18 +118,18 @@ class IntersectionPoset:
 
 
 def _line_flats(arr: LineArrangement):
-    flats = [Flat(0, 0, frozenset(), ("space",))]
+    flats = [Flat(0, 0, frozenset())]
     for i in range(len(arr.lines)):
-        flats.append(Flat(len(flats), 1, frozenset([i]), ("hyperplane", i)))
-    for p, lines in intersection_points(arr).items():
-        flats.append(Flat(len(flats), 2, lines, ("point", p)))
+        flats.append(Flat(len(flats), 1, frozenset([i])))
+    for lines in intersection_points(arr).values():
+        flats.append(Flat(len(flats), 2, lines))
     return flats
 
 
 def _central_flats(arr: CentralArrangement):
-    flats = [Flat(0, 0, frozenset(), ("space",))]
+    flats = [Flat(0, 0, frozenset())]
     for i in range(len(arr.planes)):
-        flats.append(Flat(len(flats), 1, frozenset([i]), ("hyperplane", i)))
+        flats.append(Flat(len(flats), 1, frozenset([i])))
     axes = {}
     for i in range(len(arr.planes)):
         for j in range(i + 1, len(arr.planes)):
@@ -147,10 +138,9 @@ def _central_flats(arr: CentralArrangement):
             d = scale_first_nonzero(d)
             axes.setdefault(d, set()).update((i, j))
     for d in sorted(axes):
-        flats.append(Flat(len(flats), 2, frozenset(axes[d]), ("axis", d)))
+        flats.append(Flat(len(flats), 2, frozenset(axes[d])))
     if arr.rank() == 3:
-        flats.append(Flat(len(flats), 3,
-                          frozenset(range(len(arr.planes))), ("origin",)))
+        flats.append(Flat(len(flats), 3, frozenset(range(len(arr.planes)))))
     return flats
 
 
@@ -189,10 +179,8 @@ def splits_over_integers(p: IntPolynomial):
         deg = len(coeffs) - 1
         if deg == 0:
             return []
-        lead = coeffs[-1]
-        if lead <= 0:
-            return None
-        for d in reversed([d for d in _divisors(lead) if d <= max_d]):
+        # a leading coefficient <= 0 has no positive divisor: None below
+        for d in reversed([d for d in _divisors(coeffs[-1]) if d <= max_d]):
             # synthetic division by (1 + d t): q_i = p_i - d * q_{i-1}
             q = [1]
             for i in range(1, deg):
@@ -203,7 +191,5 @@ def splits_over_integers(p: IntPolynomial):
                     return sub + [d]
         return None
 
-    if not p.coeffs:
-        return None
     result = peel(list(p.coeffs), max(p.coeffs[-1], 1))
     return tuple(sorted(result)) if result is not None else None

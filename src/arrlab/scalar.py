@@ -26,10 +26,6 @@ RATIONAL = "rational"
 GOLDEN = "golden"
 FIELDS = (RATIONAL, GOLDEN)
 
-# Alias used throughout the package for weights, polynomials, LP data.
-Rational = Fraction
-
-
 class ScalarError(ValueError):
     """Malformed scalar literal or field mismatch."""
 
@@ -43,11 +39,6 @@ def sign(x) -> int:
     if x < 0:
         return -1
     return 0
-
-
-def compare(x, y) -> int:
-    """Three-way comparison consistent with the embedding into the reals."""
-    return sign(x - y)
 
 
 def _sign_of_pair(a: Fraction, b: Fraction) -> int:
@@ -159,10 +150,6 @@ class GoldenScalar:
             base = base * base
             n >>= 1
         return out
-
-    def conjugate(self) -> GoldenScalar:
-        """Galois conjugate a - b*sqrt(5)."""
-        return GoldenScalar(self.a, -self.b)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - 5 b^2 (a rational)."""

@@ -5,7 +5,9 @@ algorithm than the library path it checks: Poincare polynomials by the
 subset alternating sum, factorizations by trying every assignment, LP
 feasibility by Fourier-Motzkin elimination, circuit multiplicities by
 literally walking the circuit, chamber wall counts by sign-vector
-enumeration, SVG decimals by a digit loop over Fractions.
+enumeration, SVG decimals by a digit loop over Fractions.  It also holds
+the seeded input generators and the small helpers only tests call: the
+three-way comparison, the Galois conjugate and circuit weight sums.
 """
 
 from __future__ import annotations
@@ -21,9 +23,31 @@ from arrlab.arrangement import (
     matrix_rank,
 )
 from arrlab.factored import Factorization
+from arrlab.falk import WeightError
 from arrlab.lpcore import LPRow, StandardFormLP, solve_feasibility
 from arrlab.poset import IntPolynomial
 from arrlab.scalar import GOLDEN, RATIONAL, GoldenScalar, sign
+
+
+def compare(x, y) -> int:
+    """Three-way comparison consistent with the embedding into the reals."""
+    return sign(x - y)
+
+
+def golden_conjugate(x: GoldenScalar) -> GoldenScalar:
+    """Galois conjugate a - b*sqrt(5)."""
+    return GoldenScalar(x.a, -x.b)
+
+
+def evaluate_circuit(weights, circuit) -> Fraction:
+    """Multiplicity-weighted sum of corner labels along the circuit."""
+    total = Fraction(0)
+    for count, corner in zip(circuit.counts, circuit.corners):
+        if count:
+            if corner not in weights:
+                raise WeightError(f"missing corner {corner}")
+            total += count * Fraction(weights[corner])
+    return total
 
 
 def whitney_poincare(arr) -> IntPolynomial:

@@ -11,20 +11,14 @@ from arrlab.arrangement import builtin, cone, decone, default_decone_index
 from arrlab.cells import CYCLE, Corner, Link, LinkComponent, build_complex, \
     gamma_of, is_simplicial, link_census
 from arrlab.factored import find_factorization
-from arrlab.falk import (
-    _raw_circuits,
-    build_constraints,
-    enumerate_circuits,
-    evaluate_circuit,
-    solve,
-    verify,
-)
+from arrlab.falk import _raw_circuits, enumerate_circuits, verify
 from arrlab.lpcore import check_certificate, solve_feasibility
 from arrlab.poset import IntPolynomial, poincare_polynomial, \
     splits_over_integers
 
 from oracles import (
     essential_random_line_arrangement,
+    evaluate_circuit,
     find_factorization_bruteforce,
     fourier_motzkin_feasible,
     random_lp,

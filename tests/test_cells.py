@@ -26,9 +26,8 @@ from arrlab.cells import (
     face_census,
     gamma_of,
     is_simplicial,
-    link_census,
 )
-from arrlab.poset import intersection_poset, poincare_polynomial
+from arrlab.poset import intersection_poset
 from arrlab.scalar import RATIONAL
 
 from oracles import chamber_wall_counts, essential_random_line_arrangement

@@ -182,6 +182,19 @@ def test_factor_not_factored_by_exhaustive_search(tmp_path, capsys):
         "excluded every assignment)\n")
 
 
+def test_factor_parallel_conflict(tmp_path, capsys):
+    # propagation from the seed puts the parallel lines 1 and 4 into
+    # different parts, which no factorization allows
+    path = tmp_path / "arr.txt"
+    path.write_text("field rational\nline 1 0 0\nline 1 -1 -1\n"
+                    "line 1 1 0\nline 0 1 -1\nline 1 -1 1\n")
+    code, out, _ = run_cli(["factor", str(path)], capsys)
+    assert code == 0
+    assert out.startswith("NOT FACTORED\n  line 0 -> part 1   [seed]\n")
+    assert out.endswith("  contradiction: parallel lines 1 and 4 lie in "
+                        "different parts but never meet\n")
+
+
 def test_factor_output_factored(tmp_path, capsys):
     path = tmp_path / "arr.txt"
     path.write_text("field rational\nline 1 0 0\nline 0 1 0\n")

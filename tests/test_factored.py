@@ -81,6 +81,14 @@ def test_validator_rejects_bad_partitions():
         arr, Factorization(frozenset({0, 1, 2}), frozenset()))
     assert not is_valid_factorization(
         arr, Factorization(frozenset({0}), frozenset({1})))
+    # x = 0 and x = 1 are parallel but lie in different parts
+    assert not is_valid_factorization(
+        _lines((1, 0, 0), (1, 0, -1)),
+        Factorization(frozenset({0}), frozenset({1})))
+    # four lines through the origin, split two and two
+    assert not is_valid_factorization(
+        _lines((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)),
+        Factorization(frozenset({0, 1}), frozenset({2, 3})))
 
 
 def _lines(*coeffs):

@@ -4,25 +4,29 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import arrlab
 from arrlab.arrangement import builtin
-from arrlab.cells import CYCLE, Corner, Link, LinkComponent, gamma_of
+from arrlab.cells import CYCLE, Corner, FaceCell, Link, LinkComponent, gamma_of
 from arrlab.falk import (
     SymmetryError,
     WeightError,
     build_constraints,
     enumerate_circuits,
-    evaluate_circuit,
     solve,
     verify,
 )
 from arrlab.falk import _raw_circuits
 from arrlab.lpcore import check_certificate
 
-from oracles import essential_random_line_arrangement, simulate_circuit_walk
+from oracles import (
+    essential_random_line_arrangement,
+    evaluate_circuit,
+    simulate_circuit_walk,
+)
 
 F = Fraction
 
@@ -239,6 +243,23 @@ def test_solve_generic3_zero():
     result = solve(gam)
     assert result.feasible
     assert all(v == 0 for v in result.weights.values())
+
+
+def test_solve_infeasible_carries_checked_certificate():
+    # a hand-made Gamma with no arrangement behind it: the triangle face 0
+    # caps its corner weights at 1, and the one-edge cycle at vertex 0
+    # (m = 2) asks for weight 2 on corner (0,0)
+    corners = (Corner(0, 0), Corner(1, 0), Corner(2, 0))
+    link = Link(0, 2, CYCLE, (LinkComponent((0,), corners[:1]),))
+    gam = SimpleNamespace(
+        corners=corners,
+        faces=(FaceCell(0, True, (0, 1, 2), (), frozenset()),),
+        links=lambda: (link,))
+    result = solve(gam)
+    assert result.status == "infeasible" and result.weights is None
+    assert [r.rel for r in result.lp.rows] == ["<=", ">="]
+    assert result.lp_result.certificate == (1, 1)
+    assert check_certificate(result.lp, result.lp_result)
 
 
 def test_constraint_rows_deduplicated(gamma_lid):

@@ -143,6 +143,15 @@ def test_split_constant_one():
     assert splits_over_integers(IntPolynomial((1,))) == ()
 
 
+def test_split_rejects_negative_leading_coefficient():
+    assert splits_over_integers(IntPolynomial((1, -1))) is None
+
+
+def test_poset_rejects_non_arrangement():
+    with pytest.raises(TypeError, match="not an arrangement: tuple"):
+        intersection_poset(((1, 0, 0), (0, 1, 0)))
+
+
 def test_split_requires_unit_constant_term():
     with pytest.raises(ValueError):
         splits_over_integers(IntPolynomial((2, 1)))

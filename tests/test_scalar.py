@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -13,11 +14,13 @@ from arrlab.scalar import (
     RATIONAL,
     SQRT5,
     ScalarError,
-    compare,
+    coerce_scalar,
     format_scalar,
     parse_scalar,
     sign,
 )
+
+from oracles import compare, golden_conjugate
 
 fractions_st = st.fractions(min_value=-50, max_value=50,
                             max_denominator=20)
@@ -64,7 +67,8 @@ def test_golden_inverse_and_division():
 
 
 def test_golden_conjugate_norm():
-    assert PHI.conjugate() == GoldenScalar(Fraction(1, 2), Fraction(-1, 2))
+    assert golden_conjugate(PHI) == GoldenScalar(Fraction(1, 2),
+                                                 Fraction(-1, 2))
     assert PHI.norm() == Fraction(-1)  # phi * (1 - phi) = -1
 
 
@@ -77,6 +81,62 @@ def test_hash_agrees_with_fraction_when_rational():
 def test_no_float_mixing():
     with pytest.raises(TypeError):
         PHI + 0.5
+    # exactness: no arithmetic or order operator takes a float, either side
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.pow, operator.lt, operator.le, operator.gt,
+               operator.ge):
+        for x, y in ((PHI, 0.5), (0.5, PHI)):
+            names = f"'{type(x).__name__}' and '{type(y).__name__}'"
+            with pytest.raises(TypeError, match=names):
+                op(x, y)
+    assert PHI.__eq__(0.5) is NotImplemented
+
+
+@given(fractions_st, fractions_st, fractions_st)
+def test_golden_operators_match_fraction_pairs(a, b, c):
+    x = GoldenScalar(a, b)
+    assert +x == x
+    assert c - x == GoldenScalar(c - a, -b)
+    assert bool(x) == (a != 0 or b != 0)
+    assert abs(x) in (x, GoldenScalar(-a, -b))
+    assert abs(x) >= 0 and abs(x) >= x and abs(x) >= -x
+    assert (x >= c) == (not x < c)
+    if x:
+        # 1 / (a + b sqrt5) = (a - b sqrt5) / (a^2 - 5 b^2)
+        n = a * a - 5 * b * b
+        assert c / x == GoldenScalar(c * a / n, -c * b / n)
+        assert x ** -1 == GoldenScalar(a / n, -b / n)
+        assert x ** -3 == GoldenScalar(a / n, -b / n) ** 3
+
+
+@given(golden_st, golden_st)
+def test_golden_abs_and_ge(x, y):
+    assert abs(x * y) == abs(x) * abs(y)
+    assert (x >= y) == (y <= x) == (x > y or x == y)
+
+
+@given(golden_st)
+def test_golden_str_and_repr_round_trip(x):
+    assert parse_scalar(str(x), GOLDEN) == x
+    assert eval(repr(x), {"GoldenScalar": GoldenScalar,
+                          "Fraction": Fraction}) == x
+
+
+def test_golden_str_and_repr():
+    assert str(PHI) == "1/2~1/2"
+    assert str(GoldenScalar(-3, 0)) == "-3"
+    assert repr(SQRT5) == "GoldenScalar(Fraction(0, 1), Fraction(1, 1))"
+
+
+def test_coerce_scalar():
+    half = coerce_scalar(GoldenScalar(Fraction(1, 2), 0), RATIONAL)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    with pytest.raises(ScalarError, match="irrational value"):
+        coerce_scalar(PHI, RATIONAL)
+    with pytest.raises(ScalarError, match="unknown field 'complex'"):
+        coerce_scalar(1, "complex")
+    with pytest.raises(ScalarError, match="unknown field 'complex'"):
+        parse_scalar("1", "complex")
 
 
 @given(golden_st, golden_st)
