@@ -213,3 +213,34 @@ def test_random_lp_results_digest():
             assert check_certificate(case, res) or res.status == UNBOUNDED
             digest.update(_result_line(res).encode())
     assert digest.hexdigest() == RANDOM_LP_RESULTS_SHA256
+
+
+def _fraction_lp(rng):
+    """A seeded random LP whose coefficients and rhs values are Fractions
+    with mixed denominators (rows that coincide after scaling are kept
+    once)."""
+    lp = random_lp(rng)
+    rows = (LPRow(tuple(F(c, rng.randint(1, 6)) for c in row.coeffs),
+                  row.rel, F(row.rhs, rng.randint(1, 6)))
+            for row in lp.rows)
+    return StandardFormLP(lp.nvars, tuple(dict.fromkeys(rows)))
+
+
+# SHA-256 of the results of 200 seeded random LPs with Fraction data, each
+# solved as is and with a seeded Fraction objective
+FRACTION_LP_RESULTS_SHA256 = \
+    "59cc9ccaedf6afbe37a71ee9135469d88e6340b210cff5c3f95344023592a7eb"
+
+
+def test_fraction_lp_results_digest():
+    rng = random.Random(8)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        lp = _fraction_lp(rng)
+        objective = tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
+                          for _ in range(lp.nvars))
+        for case in (lp, replace(lp, objective=objective)):
+            res = solve_feasibility(case)
+            assert check_certificate(case, res) or res.status == UNBOUNDED
+            digest.update(_result_line(res).encode())
+    assert digest.hexdigest() == FRACTION_LP_RESULTS_SHA256
