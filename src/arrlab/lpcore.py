@@ -2,13 +2,20 @@
 
 Variables are implicitly nonnegative; rows are linear constraints with
 relation <=, >=, or =.  ``solve_feasibility`` runs a phase-1 simplex with
-Bland's anti-cycling rule over exact Fractions (deterministic pivot order,
-hence bit-identical reruns).  The tableau stores one column per variable and
-one surplus column per row; artificial variables live only in the basis and
-the cost vector.  A feasible outcome carries a rational witness; an
-infeasible one carries Farkas multipliers, read from the phase-1 reduced
-costs of the surplus columns.  Both are checkable by plain arithmetic in
-``check_certificate`` without consulting any solver state.
+Bland's anti-cycling rule (deterministic pivot order, hence bit-identical
+reruns) in exact integer arithmetic.  The tableau stores one column per
+variable and one surplus column per row; artificial variables live only in
+the basis and the cost vector.  Each row is a sparse dict of ints with a
+positive row scale, the coefficient of its basic variable, and pivoting is
+fraction-free (Bareiss, Edmonds; as in Avis's lrs): an updated row is
+``piv * row - f * pivot_row`` divided by its gcd.  The exact tableau is the
+stored one divided row by row by the scales, and the rule reads only signs
+and cross-multiplied ratios, so it makes the same pivots as on Fractions.
+A feasible outcome carries a rational witness, each basic value being
+rhs / scale; an infeasible one carries Farkas multipliers, read from the
+phase-1 reduced costs of the surplus columns, one scaled integer row.  Both
+are checkable by plain arithmetic in ``check_certificate`` without
+consulting any solver state.
 
 Certificate convention: one multiplier per original row.  A multiplier u on
 a '>=' row scales the row as is, on a '<=' row it scales the negated row
@@ -23,6 +30,7 @@ minimizes it; unboundedness is reported as its own outcome.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -99,6 +107,8 @@ class FeasibilityResult:
     witness: tuple | None = None  # rational point, len nvars
     certificate: tuple | None = None  # multipliers, one per original row
     objective_value: object | None = None
+    # simplex pivots made, drive-outs included; not part of the result's value
+    pivots: int = field(default=0, compare=False)
 
 
 def _ge_form(lp: StandardFormLP):
@@ -117,15 +127,26 @@ def _ge_form(lp: StandardFormLP):
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland's rule.
+    """Sparse, fraction-free simplex tableau with Bland's rule.
 
     Internal rows arrive in ge-form (coeffs . x >= rhs) and are stored as
-    equalities with a surplus column, so each row has ``nvars + m`` entries:
-    x (columns 0 .. nvars-1) then one surplus per row.  A row whose rhs is
-    <= 0 is negated so its surplus can start basic.  Every other row starts
-    with an artificial variable basic; artificials get the ids
-    ``nvars + m + k`` in ``basis`` and ``cost`` but no stored column, since
-    none may re-enter the basis once it has left.
+    equalities with a surplus column: x (columns 0 .. nvars-1) then one
+    surplus per row.  A row whose rhs is <= 0 is negated so its surplus can
+    start basic.  Every other row starts with an artificial variable basic;
+    artificials get the ids ``nvars + m + k`` in ``basis`` and ``cost`` but
+    no stored column, since none may re-enter the basis once it has left.
+
+    Row r holds integers only.  ``rows[r]`` maps each column to its nonzero
+    entry, and the exact row and rhs are ``rows[r]`` and ``rhs[r]`` divided
+    by the positive scale ``scale[r]``, the coefficient of the row's basic
+    variable.  The scale is kept beside the row because an artificial basic
+    variable has no stored column.  A row with Fraction data starts scaled
+    by the lcm of its denominators, and every updated row is divided by the
+    gcd of its entries, rhs and scale.  ``cols[j]`` holds the rows with a
+    nonzero in column j, so a pivot touches only those rows.  The reduced
+    costs are one integer row ``red`` over the positive ``red_scale``.
+    Only signs and cross-multiplied ratios are compared, so Bland's rule
+    makes the same pivots as it would on the exact rows.
 
     Farkas multipliers need no artificial columns: at a phase-1 optimum the
     reduced cost of row k's surplus column, -e_k (or +e_k after the rhs
@@ -133,97 +154,144 @@ class _Tableau:
     """
 
     def __init__(self, ge_rows, nvars):
-        zero = Fraction(0)
-        one = Fraction(1)
         m = len(ge_rows)
         self.m = m
         self.ncols = nvars + m
         self.rows = []
         self.rhs = []
+        self.scale = []
         self.basis = []
-        self.cost = [zero] * self.ncols
+        self.cost = [0] * self.ncols
+        self.cols = [set() for _ in range(self.ncols)]
+        self.pivots = 0
         for i, (coeffs, b) in enumerate(ge_rows):
-            row = [Fraction(c) for c in coeffs] + [zero] * m
-            row[nvars + i] = -one  # surplus: a.x - s = b
+            # scaled by the lcm of its denominators, with -lcm as its
+            # surplus entry (a.x - s = b), the row is primitive
+            lcm = math.lcm(b.denominator, *(c.denominator for c in coeffs))
+            row = {j: int(c * lcm) for j, c in enumerate(coeffs) if c}
+            row[nvars + i] = -lcm
+            b = int(b * lcm)
             if b <= 0:
-                row = [-c for c in row]
+                row = {j: -c for j, c in row.items()}
                 b = -b
                 self.basis.append(nvars + i)
             else:
                 self.basis.append(len(self.cost))
-                self.cost.append(one)
+                self.cost.append(1)
             self.rows.append(row)
-            self.rhs.append(Fraction(b))
+            self.rhs.append(b)
+            self.scale.append(lcm)
+            for j in row:
+                self.cols[j].add(i)
         self._rebuild_objective()
 
     def _rebuild_objective(self):
         # reduced costs z_j = c_j - sum over rows of c_basis * T[r][j]
-        self.red = self.cost[:self.ncols]
+        red = {j: Fraction(c) for j, c in enumerate(self.cost[:self.ncols])
+               if c}
         for r, b in enumerate(self.basis):
             cb = self.cost[b]
             if cb:
-                row = self.rows[r]
-                for j in range(self.ncols):
-                    if row[j]:
-                        self.red[j] -= cb * row[j]
+                f = Fraction(cb, self.scale[r])
+                for j, v in self.rows[r].items():
+                    red[j] = red.get(j, 0) - f * v
+        self.red_scale = math.lcm(*(z.denominator for z in red.values()))
+        self.red = {j: int(z * self.red_scale) for j, z in red.items() if z}
 
     def objective_value(self):
-        return sum((self.cost[b] * self.rhs[r]
+        return sum((Fraction(self.cost[b] * self.rhs[r], self.scale[r])
                     for r, b in enumerate(self.basis)
                     if self.cost[b]), Fraction(0))
 
     def _pivot(self, r, col):
-        row = self.rows[r]
-        piv = row[col]
-        if piv != 1:
-            inv = 1 / piv
-            for j, v in enumerate(row):
-                if v:
-                    row[j] = v * inv
-            self.rhs[r] *= inv
-        nz = [j for j, v in enumerate(row) if v]
-        for rr in range(self.m):
-            if rr == r:
-                continue
-            f = self.rows[rr][col]
-            if f:
-                target = self.rows[rr]
-                for j in nz:
-                    target[j] -= f * row[j]
-                self.rhs[rr] -= f * self.rhs[r]
-        f = self.red[col]
+        rows, rhs, scale, cols = self.rows, self.rhs, self.scale, self.cols
+        row = rows[r]
+        if row[col] < 0:  # only when driving out an artificial
+            for j in row:
+                row[j] = -row[j]
+            rhs[r] = -rhs[r]
+        rhs[r], scale[r] = _reduce(row, rhs[r], row[col])
+        b, piv = rhs[r], scale[r]
+        others = cols[col]
+        cols[col] = {r}
+        for rr in others:
+            if rr != r:
+                target = rows[rr]
+                f = target[col]
+                added, removed = _combine(target, piv, f, row)
+                for j in added:
+                    cols[j].add(rr)
+                for j in removed:
+                    cols[j].discard(rr)
+                rhs[rr], scale[rr] = _reduce(
+                    target, piv * rhs[rr] - f * b, piv * scale[rr])
+        f = self.red.get(col)
         if f:
-            red = self.red
-            for j in nz:
-                red[j] -= f * row[j]
+            _combine(self.red, piv, f, row)
+            _, self.red_scale = _reduce(self.red, 0, piv * self.red_scale)
         self.basis[r] = col
+        self.pivots += 1
 
     def run(self):
         """Bland's rule simplex on the current cost; returns 'optimal' or
         'unbounded'."""
+        rows, rhs, basis = self.rows, self.rhs, self.basis
         while True:
-            col = next((j for j in range(self.ncols) if self.red[j] < 0),
-                       None)
+            col = min((j for j, z in self.red.items() if z < 0), default=None)
             if col is None:
                 return "optimal"
+            # the ratio of row r is rhs[r] / a; ties go to the lower basis id
             best = None
-            for r in range(self.m):
-                a = self.rows[r][col]
-                if a > 0:
-                    ratio = self.rhs[r] / a
-                    key = (ratio, self.basis[r])
-                    if best is None or key < best[0]:
-                        best = (key, r)
+            for r in self.cols[col]:
+                a = rows[r][col]
+                if a > 0 and (best is None or (rhs[r] * best_a, basis[r])
+                              < (rhs[best] * a, basis[best])):
+                    best, best_a = r, a
             if best is None:
                 return "unbounded"
-            self._pivot(best[1], col)
+            self._pivot(best, col)
 
     def witness(self, nvars):
         x = [Fraction(0)] * nvars
         for r, b in enumerate(self.basis):
             if b < nvars:
-                x[b] = self.rhs[r]
+                x[b] = Fraction(self.rhs[r], self.scale[r])
         return tuple(x)
+
+
+def _combine(target, piv, f, row):
+    """Set the sparse row ``target`` to ``piv * target - f * row`` in place;
+    return the columns that became nonzero and those that became zero."""
+    if piv != 1:
+        for j in target:
+            target[j] *= piv
+    added = []
+    removed = []
+    for j, v in row.items():
+        w = target.get(j)
+        if w is None:
+            target[j] = -f * v
+            added.append(j)
+        elif w == f * v:
+            del target[j]
+            removed.append(j)
+        else:
+            target[j] = w - f * v
+    return added, removed
+
+
+def _reduce(entries, rhs, scale):
+    """Divide ``entries`` in place, ``rhs`` and ``scale`` by their gcd;
+    return the new rhs and scale."""
+    g = math.gcd(rhs, scale)
+    if g > 1:
+        g = math.gcd(g, *entries.values())
+        if g > 1:
+            for j in entries:
+                entries[j] //= g
+            rhs //= g
+            scale //= g
+    return rhs, scale
 
 
 def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
@@ -236,25 +304,25 @@ def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
         # of its surplus column; '=' rows map back through sigma
         mults = [Fraction(0)] * len(lp.rows)
         for k, (orig, sigma) in enumerate(back):
-            u = tab.red[lp.nvars + k]
+            u = Fraction(tab.red.get(lp.nvars + k, 0), tab.red_scale)
             mults[orig] += sigma * u if lp.rows[orig].rel == EQ else u
-        return FeasibilityResult(INFEASIBLE, certificate=tuple(mults))
+        return FeasibilityResult(INFEASIBLE, certificate=tuple(mults),
+                                 pivots=tab.pivots)
     if lp.objective is None:
-        return FeasibilityResult(FEASIBLE, witness=tab.witness(lp.nvars))
-    # phase 2: drive out lingering basic artificials, then minimize
+        return FeasibilityResult(FEASIBLE, witness=tab.witness(lp.nvars),
+                                 pivots=tab.pivots)
+    # phase 2: drive out lingering basic artificials (on the first nonzero
+    # column of their row), then minimize
     for r in range(tab.m):
-        if tab.basis[r] >= tab.ncols:
-            col = next((j for j in range(tab.ncols) if tab.rows[r][j] != 0),
-                       None)
-            if col is not None:
-                tab._pivot(r, col)
-    tab.cost = ([Fraction(c) for c in lp.objective]
-                + [Fraction(0)] * (len(tab.cost) - lp.nvars))
+        if tab.basis[r] >= tab.ncols and tab.rows[r]:
+            tab._pivot(r, min(tab.rows[r]))
+    tab.cost = list(lp.objective) + [0] * (len(tab.cost) - lp.nvars)
     tab._rebuild_objective()
     if tab.run() == "unbounded":
-        return FeasibilityResult(UNBOUNDED)
+        return FeasibilityResult(UNBOUNDED, pivots=tab.pivots)
     return FeasibilityResult(FEASIBLE, witness=tab.witness(lp.nvars),
-                             objective_value=tab.objective_value())
+                             objective_value=tab.objective_value(),
+                             pivots=tab.pivots)
 
 
 def check_certificate(lp: StandardFormLP, result: FeasibilityResult) -> bool:

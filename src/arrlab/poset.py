@@ -32,10 +32,6 @@ class IntPolynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else 0
-
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -45,12 +41,6 @@ class IntPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPolynomial(tuple(out))
-
-    def __call__(self, t: int) -> int:
-        val = 0
-        for c in reversed(self.coeffs):
-            val = val * t + c
-        return val
 
     def __str__(self):
         # renders like "1 + 15t + 60t^2"

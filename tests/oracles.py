@@ -5,9 +5,11 @@ algorithm than the library path it checks: Poincare polynomials by the
 subset alternating sum, factorizations by trying every assignment, LP
 feasibility by Fourier-Motzkin elimination, circuit multiplicities by
 literally walking the circuit, chamber wall counts by sign-vector
-enumeration, SVG decimals by a digit loop over Fractions.  It also holds
-the seeded input generators and the small helpers only tests call: the
-three-way comparison, the Galois conjugate and circuit weight sums.
+enumeration, SVG decimals by a digit loop over Fractions, LP results by
+the dense Fraction simplex tableau.  It also holds the seeded input
+generators and the small helpers only tests call: the three-way
+comparison, the Galois conjugate, circuit weight sums and the degree and
+value of an integer polynomial.
 """
 
 from __future__ import annotations
@@ -24,7 +26,17 @@ from arrlab.arrangement import (
 )
 from arrlab.factored import Factorization
 from arrlab.falk import WeightError
-from arrlab.lpcore import LPRow, StandardFormLP, solve_feasibility
+from arrlab.lpcore import (
+    EQ,
+    FEASIBLE,
+    INFEASIBLE,
+    UNBOUNDED,
+    FeasibilityResult,
+    LPRow,
+    StandardFormLP,
+    _ge_form,
+    solve_feasibility,
+)
 from arrlab.poset import IntPolynomial
 from arrlab.scalar import GOLDEN, RATIONAL, GoldenScalar, sign
 
@@ -48,6 +60,19 @@ def evaluate_circuit(weights, circuit) -> Fraction:
                 raise WeightError(f"missing corner {corner}")
             total += count * Fraction(weights[corner])
     return total
+
+
+def poly_degree(p: IntPolynomial) -> int:
+    """Degree of p, taking the zero polynomial's as 0."""
+    return len(p.coeffs) - 1 if p.coeffs else 0
+
+
+def poly_value(p: IntPolynomial, t: int) -> int:
+    """p(t) by Horner's rule."""
+    val = 0
+    for c in reversed(p.coeffs):
+        val = val * t + c
+    return val
 
 
 def whitney_poincare(arr) -> IntPolynomial:
@@ -362,3 +387,151 @@ def decimal_str_reference(fr: Fraction, sig: int = 12) -> str:
         return out + head + ("." + tail if tail else "")
     tail = ("0" * (-exp - 1) + digits).rstrip("0")
     return out + "0." + tail
+
+
+class DenseTableau:
+    """Dense simplex tableau over Fractions with Bland's rule (the one
+    ``lpcore`` used before its rows became sparse and fraction-free).
+
+    Internal rows arrive in ge-form (coeffs . x >= rhs) and are stored as
+    equalities with a surplus column, so each row has ``nvars + m`` entries:
+    x (columns 0 .. nvars-1) then one surplus per row.  A row whose rhs is
+    <= 0 is negated so its surplus can start basic.  Every other row starts
+    with an artificial variable basic; artificials get the ids
+    ``nvars + m + k`` in ``basis`` and ``cost`` but no stored column, since
+    none may re-enter the basis once it has left.
+
+    Farkas multipliers need no artificial columns: at a phase-1 optimum the
+    reduced cost of row k's surplus column, -e_k (or +e_k after the rhs
+    flip), is the multiplier of ge-form row k.
+    """
+
+    def __init__(self, ge_rows, nvars):
+        zero = Fraction(0)
+        one = Fraction(1)
+        m = len(ge_rows)
+        self.m = m
+        self.ncols = nvars + m
+        self.rows = []
+        self.rhs = []
+        self.basis = []
+        self.cost = [zero] * self.ncols
+        self.pivots = 0
+        for i, (coeffs, b) in enumerate(ge_rows):
+            row = [Fraction(c) for c in coeffs] + [zero] * m
+            row[nvars + i] = -one  # surplus: a.x - s = b
+            if b <= 0:
+                row = [-c for c in row]
+                b = -b
+                self.basis.append(nvars + i)
+            else:
+                self.basis.append(len(self.cost))
+                self.cost.append(one)
+            self.rows.append(row)
+            self.rhs.append(Fraction(b))
+        self._rebuild_objective()
+
+    def _rebuild_objective(self):
+        # reduced costs z_j = c_j - sum over rows of c_basis * T[r][j]
+        self.red = self.cost[:self.ncols]
+        for r, b in enumerate(self.basis):
+            cb = self.cost[b]
+            if cb:
+                row = self.rows[r]
+                for j in range(self.ncols):
+                    if row[j]:
+                        self.red[j] -= cb * row[j]
+
+    def objective_value(self):
+        return sum((self.cost[b] * self.rhs[r]
+                    for r, b in enumerate(self.basis)
+                    if self.cost[b]), Fraction(0))
+
+    def _pivot(self, r, col):
+        row = self.rows[r]
+        piv = row[col]
+        if piv != 1:
+            inv = 1 / piv
+            for j, v in enumerate(row):
+                if v:
+                    row[j] = v * inv
+            self.rhs[r] *= inv
+        nz = [j for j, v in enumerate(row) if v]
+        for rr in range(self.m):
+            if rr == r:
+                continue
+            f = self.rows[rr][col]
+            if f:
+                target = self.rows[rr]
+                for j in nz:
+                    target[j] -= f * row[j]
+                self.rhs[rr] -= f * self.rhs[r]
+        f = self.red[col]
+        if f:
+            red = self.red
+            for j in nz:
+                red[j] -= f * row[j]
+        self.basis[r] = col
+        self.pivots += 1
+
+    def run(self):
+        """Bland's rule simplex on the current cost; returns 'optimal' or
+        'unbounded'."""
+        while True:
+            col = next((j for j in range(self.ncols) if self.red[j] < 0),
+                       None)
+            if col is None:
+                return "optimal"
+            best = None
+            for r in range(self.m):
+                a = self.rows[r][col]
+                if a > 0:
+                    ratio = self.rhs[r] / a
+                    key = (ratio, self.basis[r])
+                    if best is None or key < best[0]:
+                        best = (key, r)
+            if best is None:
+                return "unbounded"
+            self._pivot(best[1], col)
+
+    def witness(self, nvars):
+        x = [Fraction(0)] * nvars
+        for r, b in enumerate(self.basis):
+            if b < nvars:
+                x[b] = self.rhs[r]
+        return tuple(x)
+
+
+def dense_simplex_reference(lp: StandardFormLP) -> FeasibilityResult:
+    """``lpcore.solve_feasibility`` on the dense Fraction tableau: the same
+    Bland pivots, so the same result and pivot count."""
+    ge_rows, back = _ge_form(lp)
+    tab = DenseTableau(ge_rows, lp.nvars)
+    tab.run()
+    if tab.objective_value() > 0:
+        # infeasible: the multiplier of ge-form row k is the reduced cost
+        # of its surplus column; '=' rows map back through sigma
+        mults = [Fraction(0)] * len(lp.rows)
+        for k, (orig, sigma) in enumerate(back):
+            u = tab.red[lp.nvars + k]
+            mults[orig] += sigma * u if lp.rows[orig].rel == EQ else u
+        return FeasibilityResult(INFEASIBLE, certificate=tuple(mults),
+                                 pivots=tab.pivots)
+    if lp.objective is None:
+        return FeasibilityResult(FEASIBLE, witness=tab.witness(lp.nvars),
+                                 pivots=tab.pivots)
+    # phase 2: drive out lingering basic artificials, then minimize
+    for r in range(tab.m):
+        if tab.basis[r] >= tab.ncols:
+            col = next((j for j in range(tab.ncols) if tab.rows[r][j] != 0),
+                       None)
+            if col is not None:
+                tab._pivot(r, col)
+    tab.cost = ([Fraction(c) for c in lp.objective]
+                + [Fraction(0)] * (len(tab.cost) - lp.nvars))
+    tab._rebuild_objective()
+    if tab.run() == "unbounded":
+        return FeasibilityResult(UNBOUNDED, pivots=tab.pivots)
+    return FeasibilityResult(FEASIBLE, witness=tab.witness(lp.nvars),
+                             objective_value=tab.objective_value(),
+                             pivots=tab.pivots)

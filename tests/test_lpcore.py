@@ -1,11 +1,13 @@
 import hashlib
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from arrlab.falk import build_constraints
+from arrlab.cells import bounded_complex, build_complex
+from arrlab.falk import build_constraints, solve
 from arrlab.lpcore import (
     FEASIBLE,
     INFEASIBLE,
@@ -13,11 +15,19 @@ from arrlab.lpcore import (
     LPRow,
     StandardFormLP,
     UNBOUNDED,
+    _ge_form,
+    _Tableau,
     check_certificate,
     solve_feasibility,
 )
 
-from oracles import fourier_motzkin_feasible, random_lp
+from oracles import (
+    DenseTableau,
+    dense_simplex_reference,
+    essential_random_line_arrangement,
+    fourier_motzkin_feasible,
+    random_lp,
+)
 
 F = Fraction
 
@@ -84,6 +94,18 @@ def test_phase2_minimization():
 def test_phase2_unbounded():
     lp = StandardFormLP(1, (LPRow((1,), ">=", 1),), objective=(-1,))
     assert solve_feasibility(lp).status == UNBOUNDED
+
+
+def test_phase2_drives_out_artificial_on_negative_entry():
+    # phase 1 pivots x in for the surplus of -2x >= -1 (lower basis id on
+    # a tied ratio), leaving the artificial of 2x >= 1 basic at 0 on the
+    # row -s1 - s2; phase 2 drives it out on the negative entry of s1
+    lp = StandardFormLP(1, (LPRow((2,), "=", 1),), objective=(2,))
+    res = solve_feasibility(lp)
+    assert res == FeasibilityResult(FEASIBLE, witness=(F(1, 2),),
+                                    objective_value=1)
+    assert res.pivots == 3
+    assert check_certificate(lp, res)
 
 
 def test_equality_rows():
@@ -174,6 +196,35 @@ def test_rational_data_survives():
     assert res.objective_value == F(3, 14)
 
 
+def test_icosidodecahedral_pivot_counts(gamma_lid, lid_solution,
+                                       lid_solution_equality):
+    # Bland's rule on the exact rows: the counts of the dense Fraction
+    # tableau, drive-outs included
+    assert lid_solution.lp_result.pivots == 758
+    assert lid_solution_equality.lp_result.pivots == 1132
+    res = solve(gamma_lid, equality_asphericity=True, minimize_total=True)
+    assert res.lp_result.pivots == 1244
+    assert res.lp_result.objective_value == 58
+
+
+def test_pivots_take_no_part_in_equality():
+    res = FeasibilityResult(FEASIBLE, witness=(F(1),), pivots=3)
+    assert res == replace(res, pivots=4)
+
+
+def test_falk_lps_match_dense_reference():
+    rng = random.Random(7)
+    for _ in range(8):
+        arr = essential_random_line_arrangement(rng, rng.randint(6, 9))
+        gamma = bounded_complex(build_complex(arr))
+        for kw in ({}, {"equality_asphericity": True,
+                        "minimize_total": True}):
+            res = solve(gamma, **kw)
+            ref = dense_simplex_reference(res.lp)
+            assert res.lp_result == ref
+            assert res.lp_result.pivots == ref.pivots > 0
+
+
 # SHA-256 of the row tags of the icosidodecahedral section's system, one
 # per line, as build_constraints emitted them before rows became LPRows
 LID_TAGS_SHA256 = \
@@ -244,3 +295,26 @@ def test_fraction_lp_results_digest():
             assert check_certificate(case, res) or res.status == UNBOUNDED
             digest.update(_result_line(res).encode())
     assert digest.hexdigest() == FRACTION_LP_RESULTS_SHA256
+
+
+def test_sparse_rows_are_primitive_scalings_of_the_dense_rows():
+    rng = random.Random(9)
+    for _ in range(60):
+        lp = _fraction_lp(rng)
+        ge_rows, _ = _ge_form(lp)
+        tab = _Tableau(ge_rows, lp.nvars)
+        dense = DenseTableau(ge_rows, lp.nvars)
+        assert tab.run() == dense.run()
+        assert tab.basis == dense.basis and tab.pivots == dense.pivots
+        for r, row in enumerate(tab.rows):
+            s = tab.scale[r]
+            assert s > 0 and math.gcd(s, tab.rhs[r], *row.values()) == 1
+            assert 0 not in row.values()
+            assert [F(row.get(j, 0), s) for j in range(tab.ncols)] \
+                == dense.rows[r]
+            assert F(tab.rhs[r], s) == dense.rhs[r]
+        for j, rows in enumerate(tab.cols):
+            assert rows == {r for r, row in enumerate(tab.rows) if j in row}
+        assert math.gcd(tab.red_scale, *tab.red.values()) == 1
+        assert [F(tab.red.get(j, 0), tab.red_scale)
+                for j in range(tab.ncols)] == dense.red
