@@ -3,17 +3,16 @@
 Variables are implicitly nonnegative; rows are linear constraints with
 relation <=, >=, or =.  ``solve_feasibility`` runs a phase-1 simplex with
 Bland's anti-cycling rule (deterministic pivot order, hence bit-identical
-reruns) in exact integer arithmetic.  The tableau stores one column per
-variable and one surplus column per row; artificial variables live only in
-the basis and the cost vector.  Each row is a sparse dict of ints with a
-positive row scale, the coefficient of its basic variable, and pivoting is
-fraction-free (Bareiss, Edmonds; as in Avis's lrs): an updated row is
-``piv * row - f * pivot_row`` divided by its gcd.  The exact tableau is the
-stored one divided row by row by the scales, and the rule reads only signs
-and cross-multiplied ratios, so it makes the same pivots as on Fractions.
-A feasible outcome carries a rational witness, each basic value being
-rhs / scale; an infeasible one carries Farkas multipliers, read from the
-phase-1 reduced costs of the surplus columns, one scaled integer row.  Both
+reruns).  The tableau stores one column per variable and one surplus
+column per row; artificial variables live only in the basis and the cost
+vector.  It is sparse and fraction-free, as in Bareiss's and Edmonds's
+integer elimination and Avis's lrs: each row is a dict of ints with a
+positive row scale, and the exact row is the stored one over its scale.
+Bland's rule reads only signs and cross-multiplied ratios, so it makes the
+same pivots as on exact Fractions.  A feasible outcome carries a rational
+witness, each basic value being the row's rhs over its scale; an
+infeasible one carries Farkas multipliers, read from the phase-1 reduced
+costs of the surplus columns, one integer row over its own scale.  Both
 are checkable by plain arithmetic in ``check_certificate`` without
 consulting any solver state.
 
@@ -272,11 +271,13 @@ def _combine(target, piv, f, row):
         if w is None:
             target[j] = -f * v
             added.append(j)
-        elif w == f * v:
+            continue
+        w -= f * v
+        if w:
+            target[j] = w
+        else:
             del target[j]
             removed.append(j)
-        else:
-            target[j] = w - f * v
     return added, removed
 
 

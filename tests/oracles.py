@@ -390,8 +390,8 @@ def decimal_str_reference(fr: Fraction, sig: int = 12) -> str:
 
 
 class DenseTableau:
-    """Dense simplex tableau over Fractions with Bland's rule (the one
-    ``lpcore`` used before its rows became sparse and fraction-free).
+    """Dense simplex tableau over Fractions with Bland's rule: the exact
+    rows that ``lpcore._Tableau`` stores sparse and scaled to integers.
 
     Internal rows arrive in ge-form (coeffs . x >= rhs) and are stored as
     equalities with a surplus column, so each row has ``nvars + m`` entries:
