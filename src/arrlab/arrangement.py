@@ -70,31 +70,6 @@ def cross3(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def matrix_rank(rows) -> int:
-    """Rank of a small matrix over the exact field, by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(m)):
-            if sign(m[r][col]) != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for r in range(len(m)):
-            if r != rank and sign(m[r][col]) != 0:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 @dataclass(frozen=True)
 class AffineLine:
     """The line { (x, y) : a*x + b*y = c }, with (a, b) != (0, 0).
@@ -124,7 +99,8 @@ class AffineLine:
         return sign(self.a * x + self.b * y - self.c) == 0
 
     def is_parallel(self, other: "AffineLine") -> bool:
-        return sign(self.a * other.b - self.b * other.a) == 0
+        # normalized normals of parallel lines are equal
+        return (self.a, self.b) == (other.a, other.b)
 
     def intersect(self, other: "AffineLine"):
         """Intersection point with another line, or None if parallel."""
@@ -222,7 +198,13 @@ class CentralArrangement:
         return len(self.planes)
 
     def rank(self) -> int:
-        return matrix_rank([pl.normal() for pl in self.planes])
+        """Distinct planes have independent normals, so two span rank 2 and
+        a third raises it to 3 unless it lies in their pencil."""
+        if len(self.planes) < 3:
+            return len(self.planes)
+        axis = cross3(self.planes[0].normal(), self.planes[1].normal())
+        return 3 if any(sign(dot3(axis, pl.normal())) != 0
+                        for pl in self.planes[2:]) else 2
 
     def canonical(self) -> "CentralArrangement":
         order = sorted(range(len(self.planes)),

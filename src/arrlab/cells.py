@@ -5,8 +5,10 @@ intersection points), edges (maximal pieces of lines between consecutive
 vertices: segments, rays, or whole vertex-free lines) and open convex faces.
 Faces are discovered by walking half-edges with the face on the left: a
 bounded face is a closed walk, an unbounded face the chain from its inward
-ray to its outward ray.  All orientation decisions are exact sign tests
-(quadrant class plus cross products); no trigonometry.
+ray to its outward ray.  Orientation is read from the normal form: every
+line is stored with the first nonzero of (a, b) equal to 1, so the germs
+around a vertex and the vertices along a line are ordered by comparing
+coefficients and coordinates, with no products and no trigonometry.
 
 Each face stands for a pair of antipodal chambers of the cone over the
 arrangement; their walls are the face's boundary lines plus the plane at
@@ -29,10 +31,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .arrangement import ArrangementError, LineArrangement, intersection_points
-from .scalar import sign
 
 SEGMENT = "segment"
 RAY = "ray"
@@ -95,21 +95,6 @@ class Corner:
     face: int
 
 
-def _direction_cmp(d1, d2) -> int:
-    """Counterclockwise angular order of nonzero directions, starting at +x."""
-    def half(d):
-        s = sign(d[1])
-        if s > 0 or (s == 0 and sign(d[0]) > 0):
-            return 0
-        return 1
-
-    h1, h2 = half(d1), half(d2)
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    cross = d1[0] * d2[1] - d1[1] * d2[0]
-    return -sign(cross)
-
-
 class CellComplex:
     """The full stratification, including unbounded edges and faces."""
 
@@ -149,42 +134,50 @@ def build_complex(arr: LineArrangement) -> CellComplex:
     vertices = [Vertex(vid, p, lines)
                 for vid, (p, lines) in enumerate(points.items())]
 
-    # order the vertices of each line along its direction
+    # order the vertices of each line along its direction (-b, a): by y
+    # on a steep line (a = 1), by -x on a horizontal one (a = 0, b = 1)
     on_line = {i: [] for i in range(n)}
     for v in vertices:
         for i in v.lines:
             on_line[i].append(v.id)
     for i in range(n):
-        d = arr.lines[i].direction()
-        on_line[i].sort(key=lambda vid: (
-            vertices[vid].point[0] * d[0] + vertices[vid].point[1] * d[1],))
+        if arr.lines[i].a != 0:
+            on_line[i].sort(key=lambda vid: vertices[vid].point[1])
+        else:
+            on_line[i].sort(key=lambda vid: -vertices[vid].point[0])
 
     edges = []
-    germ_dirs = {v.id: [] for v in vertices}  # (edge_id, direction away)
+    germ_keys = {v.id: [] for v in vertices}  # (sort key, edge id)
 
     def add_edge(line, kind, v0=None, v1=None):
         e = EdgeCell(len(edges), line, kind, v0, v1)
         edges.append(e)
         return e
 
+    # a germ leaves forward along (-b, a) or backward; germs sort
+    # counterclockwise from +x by (forward != steep, steep, b).  The first
+    # entry is the half plane (y > 0, or y = 0 < x, comes first); within a
+    # half the angle of +-(-b, 1) grows with b, and a horizontal germ,
+    # +-(-1, 0), opens its half
     for i in range(n):
-        d = arr.lines[i].direction()
-        neg = (-d[0], -d[1])
+        steep = arr.lines[i].a != 0
+        forward = (not steep, steep, arr.lines[i].b)
+        backward = (steep, steep, arr.lines[i].b)
         vids = on_line[i]
         lead = add_edge(i, RAY, v0=vids[0])
-        germ_dirs[vids[0]].append((lead.id, neg))
+        germ_keys[vids[0]].append((backward, lead.id))
         for a, b in zip(vids, vids[1:]):
             seg = add_edge(i, SEGMENT, v0=a, v1=b)
-            germ_dirs[a].append((seg.id, d))
-            germ_dirs[b].append((seg.id, neg))
+            germ_keys[a].append((forward, seg.id))
+            germ_keys[b].append((backward, seg.id))
         trail = add_edge(i, RAY, v0=vids[-1])
-        germ_dirs[vids[-1]].append((trail.id, d))
+        germ_keys[vids[-1]].append((forward, trail.id))
 
     germs = {}
     germ_pos = {}
-    for vid, items in germ_dirs.items():
-        items.sort(key=cmp_to_key(lambda g1, g2: _direction_cmp(g1[1], g2[1])))
-        germs[vid] = [eid for eid, _ in items]
+    for vid, items in germ_keys.items():
+        # lines through one vertex have distinct (a, b): keys never tie
+        germs[vid] = [eid for _, eid in sorted(items)]
         for pos, eid in enumerate(germs[vid]):
             germ_pos[(eid, vid)] = pos
 

@@ -18,7 +18,6 @@ from .arrangement import (
     CentralArrangement,
     LineArrangement,
     builtin,
-    cone,
     decone,
     default_decone_index,
     parse_arrangement,
@@ -37,7 +36,12 @@ from .cells import (
 from .factored import find_factorization, propagation_trace
 from .falk import WeightError, build_constraints, solve, verify
 from .lpcore import check_certificate
-from .poset import intersection_poset, poincare_polynomial, splits_over_integers
+from .poset import (
+    IntPolynomial,
+    intersection_poset,
+    poincare_polynomial,
+    splits_over_integers,
+)
 from .scalar import RATIONAL, ScalarError, parse_scalar
 from .svgout import render_svg
 
@@ -107,7 +111,11 @@ def cmd_analyze(args, out) -> int:
     central = isinstance(arr, CentralArrangement)
     section = as_line_arrangement(arr)
     cx = build_complex(section)
-    pi = poincare_polynomial(arr)
+    # pi(cA, t) = (1 + t) pi(A, t) (Orlik-Terao, Prop. 2.51): one poset,
+    # the section's, gives the polynomials of both the cone and the section
+    pi_section = poincare_polynomial(section)
+    pi_cone = IntPolynomial((1, 1)) * pi_section
+    pi = pi_cone if central else pi_section
     split = splits_over_integers(pi)
     report = [
         ("input", args.arrangement),
@@ -126,9 +134,9 @@ def cmd_analyze(args, out) -> int:
             report.append(("simplicial_witness",
                            f"{_polygon_name(walls)} chamber"))
         report.append(("decone_plane", str(default_decone_index(arr))))
-        report.append(("pi_decone", str(poincare_polynomial(section))))
+        report.append(("pi_decone", str(pi_section)))
     else:
-        report.append(("pi_cone", str(poincare_polynomial(cone(arr)))))
+        report.append(("pi_cone", str(pi_cone)))
     if len(section.lines) >= 2:
         fac = find_factorization(section)
         report.append(("factored", "true" if fac is not None else "false"))
@@ -192,14 +200,16 @@ def cmd_factor(args, out) -> int:
     arr = as_line_arrangement(load_arrangement(args.arrangement))
     if len(arr.lines) < 2:
         raise CliError("factorization needs at least 2 lines")
-    fac = find_factorization(arr)
+    # the search fails at its seed exactly when this propagation does, so
+    # it runs only when the propagation leaves the question open
+    steps, contradiction = propagation_trace(arr)
+    fac = None if contradiction else find_factorization(arr)
     if fac is not None:
         print("FACTORED", file=out)
         print("Pi1: " + " ".join(map(str, sorted(fac.part1))), file=out)
         print("Pi2: " + " ".join(map(str, sorted(fac.part2))), file=out)
         return 0
     print("NOT FACTORED", file=out)
-    steps, contradiction = propagation_trace(arr)
     for line, part, reason in steps:
         print(f"  line {line} -> part {part}   [{reason}]", file=out)
     if contradiction:

@@ -6,7 +6,8 @@ subset alternating sum, factorizations by trying every assignment, LP
 feasibility by Fourier-Motzkin elimination, circuit multiplicities by
 literally walking the circuit, chamber wall counts by sign-vector
 enumeration, SVG decimals by a digit loop over Fractions, LP results by
-the dense Fraction simplex tableau.  It also holds the seeded input
+the dense Fraction simplex tableau, ranks by Gaussian elimination and
+angular order by cross products.  It also holds the seeded input
 generators and the small helpers only tests call: the three-way
 comparison, the Galois conjugate, circuit weight sums and the degree and
 value of an integer polynomial.
@@ -22,7 +23,6 @@ from arrlab.arrangement import (
     CentralArrangement,
     LineArrangement,
     intersection_points,
-    matrix_rank,
 )
 from arrlab.factored import Factorization
 from arrlab.falk import WeightError
@@ -73,6 +73,48 @@ def poly_value(p: IntPolynomial, t: int) -> int:
     for c in reversed(p.coeffs):
         val = val * t + c
     return val
+
+
+def matrix_rank(rows) -> int:
+    """Rank of a small matrix over the exact field, by Gaussian elimination."""
+    m = [list(r) for r in rows]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(m)):
+            if sign(m[r][col]) != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pv = m[rank][col]
+        for r in range(len(m)):
+            if r != rank and sign(m[r][col]) != 0:
+                f = m[r][col] / pv
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def direction_cmp(d1, d2) -> int:
+    """Counterclockwise angular order of nonzero directions, starting at +x:
+    half plane first (y > 0, or y = 0 < x), then the sign of the cross
+    product."""
+    def half(d):
+        s = sign(d[1])
+        if s > 0 or (s == 0 and sign(d[0]) > 0):
+            return 0
+        return 1
+
+    h1, h2 = half(d1), half(d2)
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    cross = d1[0] * d2[1] - d1[1] * d2[0]
+    return -sign(cross)
 
 
 def whitney_poincare(arr) -> IntPolynomial:

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +15,7 @@ from arrlab.arrangement import (
     build_icosidodecahedral,
     builtin,
     cone,
+    cross3,
     decone,
     default_decone_index,
     intersection_points,
@@ -22,7 +25,7 @@ from arrlab.arrangement import (
 from arrlab.poset import intersection_poset, poincare_polynomial
 from arrlab.scalar import GOLDEN, GoldenScalar, PHI, RATIONAL, sign
 
-from oracles import essential_random_line_arrangement
+from oracles import essential_random_line_arrangement, matrix_rank
 
 
 def poset_signature(poset):
@@ -281,3 +284,66 @@ def test_serialize_round_trip(icosi, lid):
         text = serialize_arrangement(arr)
         again = parse_arrangement(text)
         assert serialize_arrangement(again) == text
+
+
+def random_scalar(rng, field, nonzero=False):
+    while True:
+        x = (Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+             if field == RATIONAL
+             else GoldenScalar(rng.randint(-2, 2), rng.randint(-1, 1)))
+        if not nonzero or sign(x):
+            return x
+
+
+def random_planes(rng, field, count, axis=None):
+    """`count` distinct planes over `field`, all through `axis` if given."""
+    planes = set()
+    while len(planes) < count:
+        n = tuple(random_scalar(rng, field) for _ in range(3))
+        if axis is not None:
+            n = cross3(axis, n)
+        if any(sign(c) for c in n):
+            planes.add(CentralPlane(*n))
+    return CentralArrangement(tuple(sorted(planes, key=CentralPlane.normal)),
+                              field)
+
+
+def test_rank_matches_gaussian_elimination(icosi):
+    rng = random.Random(21)
+    cases = [CentralArrangement(planes, GOLDEN)
+             for planes in combinations(icosi.planes, 3)]
+    for field in (RATIONAL, GOLDEN):
+        cases += [random_planes(rng, field, count)
+                  for count in (0, 1, 2) for _ in range(5)]
+        for _ in range(20):
+            axis = tuple(random_scalar(rng, field, nonzero=True)
+                         for _ in range(3))
+            cases.append(random_planes(rng, field, rng.randint(3, 5), axis))
+            cases.append(random_planes(rng, field, rng.randint(3, 6)))
+    ranks = Counter()
+    for arr in cases:
+        ranks[arr.rank()] += 1
+        assert arr.rank() == matrix_rank([pl.normal() for pl in arr.planes])
+    assert sorted(ranks) == [0, 1, 2, 3]
+    assert ranks[2] > 40 and ranks[3] > 40
+
+
+def test_is_parallel_matches_determinant():
+    rng = random.Random(22)
+    for field in (RATIONAL, GOLDEN):
+        family = []
+        for _ in range(6):
+            a, b = (random_scalar(rng, field) for _ in range(2))
+            if not (sign(a) or sign(b)):
+                continue
+            # scaled copies of one normal with several offsets
+            for _ in range(rng.randint(1, 3)):
+                k = random_scalar(rng, field, nonzero=True)
+                family.append(AffineLine(k * a, k * b,
+                                         random_scalar(rng, field)))
+        outcomes = Counter()
+        for p, q in combinations(family, 2):
+            det_zero = sign(p.a * q.b - p.b * q.a) == 0
+            assert p.is_parallel(q) == det_zero == q.is_parallel(p)
+            outcomes[det_zero] += 1
+        assert outcomes[True] and outcomes[False]

@@ -2,6 +2,7 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
@@ -28,11 +29,13 @@ from arrlab.cells import (
     is_simplicial,
 )
 from arrlab.poset import intersection_poset
-from arrlab.scalar import RATIONAL
+from arrlab.scalar import RATIONAL, sign
 
 from oracles import (
     chamber_wall_counts,
+    direction_cmp,
     essential_random_line_arrangement,
+    golden_line_arrangement,
     poly_value,
 )
 
@@ -292,3 +295,54 @@ def test_chamber_walls_match_wall_oracle_at_every_decone_plane():
                              for w in (chamber_walls(cx, f),) * 2)
             assert doubled == walls
             assert is_simplicial(cx)[0] == all(w == 3 for w in walls)
+
+
+def check_order_against_cross_products(cx):
+    """The vertices along each line and the germs around each vertex come
+    in the order that dot and cross products give."""
+    lines_ = cx.arrangement.lines
+    leaving = {v.id: [] for v in cx.vertices}  # (edge id, direction)
+    for i, ln in enumerate(lines_):
+        d = ln.direction()
+        own = [e for e in cx.edges if e.line == i]
+        # edges of a line run lead ray, segments, trail ray
+        assert [e.kind for e in own] == ["ray"] + ["segment"] * (
+            len(own) - 2) + ["ray"]
+        vids = [own[0].v0] + [e.v1 for e in own[1:-1]]
+        assert [e.v0 for e in own[1:]] == vids
+
+        def along(vid):
+            x, y = cx.vertices[vid].point
+            return x * d[0] + y * d[1]
+        on_line = [v.id for v in cx.vertices if i in v.lines]
+        assert vids == sorted(on_line, key=along)
+        assert all(sign(along(u) - along(w)) < 0
+                   for u, w in zip(vids, vids[1:]))
+        leaving[vids[0]].append((own[0].id, (-d[0], -d[1])))
+        for e in own[1:-1]:
+            leaving[e.v0].append((e.id, d))
+            leaving[e.v1].append((e.id, (-d[0], -d[1])))
+        leaving[vids[-1]].append((own[-1].id, d))
+    by_angle = cmp_to_key(lambda g, h: direction_cmp(g[1], h[1]))
+    for v in cx.vertices:
+        ring = [eid for eid, _ in sorted(leaving[v.id], key=by_angle)]
+        assert list(cx.germ_edges(v.id)) == ring
+
+
+def test_germ_and_line_order_match_cross_product_oracle(lid_complex):
+    check_order_against_cross_products(lid_complex)
+    rng = random.Random(9)
+    seen = Counter()
+    for field in ("rational", "golden"):
+        for _ in range(25):
+            n = rng.randint(3, 8)
+            arr = (essential_random_line_arrangement(rng, n, coeff_range=2)
+                   if field == "rational" else golden_line_arrangement(rng, n))
+            seen[field, "horizontal"] += any(ln.a == 0 for ln in arr.lines)
+            seen[field, "vertical"] += any(ln.b == 0 for ln in arr.lines)
+            seen[field, "parallel"] += any(
+                p.is_parallel(q) for k, p in enumerate(arr.lines)
+                for q in arr.lines[k + 1:])
+            check_order_against_cross_products(build_complex(arr))
+    # every field brings horizontal, vertical and parallel lines
+    assert len(seen) == 6 and all(seen.values())

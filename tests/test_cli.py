@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import arrlab.poset
+from arrlab.arrangement import LineArrangement
 from arrlab.cli import main, parse_weights, serialize_weights
 from arrlab.cells import Corner
 from arrlab.falk import ConstraintSystem, SolveResult
@@ -40,6 +42,23 @@ def test_analyze_generic3(capsys):
     assert "pi: 1 + 3t + 3t^2" in out
     assert "pi_cone: 1 + 4t + 6t^2 + 3t^3" in out
     assert "falk: FEASIBLE" in out
+
+
+@pytest.mark.parametrize("ref, pis", [
+    ("@generic3", ("pi: 1 + 3t + 3t^2", "pi_cone: 1 + 4t + 6t^2 + 3t^3")),
+    ("@boolean3", ("pi: 1 + 3t + 3t^2 + t^3", "pi_decone: 1 + 2t + t^2")),
+])
+def test_analyze_builds_only_the_section_poset(ref, pis, monkeypatch,
+                                               capsys):
+    # the cone's polynomial is (1 + t) times the section's
+    built = []
+    poset = arrlab.poset.intersection_poset
+    monkeypatch.setattr(arrlab.poset, "intersection_poset",
+                        lambda arr: built.append(arr) or poset(arr))
+    code, out, _ = run_cli(["analyze", ref], capsys)
+    assert code == 0
+    assert all(f"\n{pi}\n" in out for pi in pis)
+    assert [type(arr) for arr in built] == [LineArrangement]
 
 
 def test_one_line_factorization_not_applicable(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import arrlab.factored
 from arrlab.arrangement import LineArrangement, builtin, serialize_arrangement
 from arrlab.cli import main
 from arrlab.factored import (
@@ -46,6 +47,19 @@ def test_lid_propagation_finds_contradiction(lid):
     steps, contradiction = propagation_trace(lid)
     assert contradiction is not None
     assert steps[0] == (0, 1, "seed")
+
+
+def test_factor_command_finds_intersections_once(monkeypatch, capsys):
+    # the seeded propagation ends in a contradiction, so the search that
+    # would repeat it never runs
+    calls = []
+    points = arrlab.factored.intersection_points
+    monkeypatch.setattr(arrlab.factored, "intersection_points",
+                        lambda arr: calls.append(arr) or points(arr))
+    assert main(["factor", "@icosidodecahedral"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("NOT FACTORED\n") and "contradiction:" in out
+    assert len(calls) == 1
 
 
 def test_single_line_rejected():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from arrlab.arrangement import LineArrangement, builtin, cone
+from arrlab.arrangement import LineArrangement, builtin, cone, decone
 from arrlab.poset import (
     IntPolynomial,
     intersection_poset,
@@ -14,6 +14,7 @@ from arrlab.scalar import RATIONAL
 
 from oracles import (
     essential_random_line_arrangement,
+    golden_line_arrangement,
     poly_degree,
     whitney_poincare,
 )
@@ -100,6 +101,24 @@ def test_coning_identity_random():
         arr = essential_random_line_arrangement(rng, rng.randint(2, 6))
         assert poincare_polynomial(cone(arr)) == \
             one_plus_t * poincare_polynomial(arr)
+
+
+def test_deconing_identity():
+    # pi(A, t) = (1 + t) pi(dA, t) at every plane of a central arrangement
+    # (Orlik-Terao, Prop. 2.51), which lets analyze build one poset
+    rng = random.Random(12)
+    one_plus_t = IntPolynomial((1, 1))
+    cases = [(builtin(name), range(len(builtin(name))))
+             for name in ("icosidodecahedral", "boolean3")]
+    for _ in range(20):
+        for arr in (essential_random_line_arrangement(rng, rng.randint(2, 6)),
+                    golden_line_arrangement(rng, rng.randint(2, 6))):
+            coned = cone(arr)
+            cases.append((coned, rng.sample(range(len(coned)), 3)))
+    for arr, planes in cases:
+        pi = poincare_polynomial(arr)
+        for i in planes:
+            assert pi == one_plus_t * poincare_polynomial(decone(arr, i))
 
 
 def test_deletion_never_increases_coefficients():
