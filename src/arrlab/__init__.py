@@ -31,6 +31,7 @@ from .cells import (
     Link,
     bounded_complex,
     build_complex,
+    corner_automorphisms,
     face_census,
     gamma_of,
     is_simplicial,

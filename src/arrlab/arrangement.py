@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from .scalar import (
     FIELDS,
@@ -158,12 +160,27 @@ class LineArrangement:
         return LineArrangement(tuple(sorted(self.lines, key=AffineLine.coeffs)),
                                self.field)
 
+    @cached_property
+    def _points(self) -> MappingProxyType:
+        # set on the instance dict by cached_property, which a frozen
+        # dataclass allows; equality and hashing see only the fields
+        return MappingProxyType(_crossings(self.lines))
 
-def intersection_points(arr: LineArrangement) -> dict:
-    """Crossing points of a line arrangement: {point: frozenset of the
-    indices of the lines through it}, in sorted point order."""
+
+def intersection_points(arr: LineArrangement) -> MappingProxyType:
+    """Crossing points of a line arrangement: a read-only mapping {point:
+    frozenset of the indices of the lines through it}, in sorted point
+    order.
+
+    They are computed on the first call and kept on the arrangement, so the
+    poset, the cell complex and the factorization search of one command
+    share them.
+    """
+    return arr._points
+
+
+def _crossings(lines) -> dict:
     points = {}
-    lines = arr.lines
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
             p = lines[i].intersect(lines[j])
@@ -386,11 +403,51 @@ def _boolean3() -> CentralArrangement:
                                (Fraction(0), Fraction(0), Fraction(1))), RATIONAL)
 
 
+def _planes(normals, field_name) -> CentralArrangement:
+    return CentralArrangement(tuple(
+        tuple(coerce_scalar(c, field_name) for c in n) for n in normals),
+        field_name)
+
+
+_A3_NORMALS = ((1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1),
+               (0, 1, -1))
+_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _a3() -> CentralArrangement:
+    """Reflection arrangement of type A3: x +- y, x +- z, y +- z; pi =
+    (1 + t)(1 + 2t)(1 + 3t)."""
+    return _planes(_A3_NORMALS, RATIONAL)
+
+
+def _b3() -> CentralArrangement:
+    """Type B3: A3 followed by the three coordinate planes; pi =
+    (1 + t)(1 + 3t)(1 + 5t).  It is deconed at plane 0, x + y = 0, whose
+    section has a symmetry group of order 4; at a coordinate plane the
+    group has order 8."""
+    return _planes(_A3_NORMALS + _AXES, RATIONAL)
+
+
+def _h3() -> CentralArrangement:
+    """Type H3 over Q(sqrt5): the three coordinate planes followed by the
+    12 cyclic sign variants of (1, phi, phi^2); pi = (1 + t)(1 + 5t)(1 + 9t).
+    """
+    normals = list(_AXES)
+    for s in (1, -1):
+        for t in (1, -1):
+            a, b, c = 1, s * PHI, t * PHI * PHI
+            normals += [(a, b, c), (b, c, a), (c, a, b)]
+    return _planes(normals, GOLDEN)
+
+
 BUILTINS = {
     "icosidodecahedral": build_icosidodecahedral,
     "boolean2": _boolean2,
     "boolean3": _boolean3,
     "generic3": _generic3,
+    "A3": _a3,
+    "B3": _b3,
+    "H3": _h3,
 }
 
 

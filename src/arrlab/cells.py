@@ -25,6 +25,11 @@ are cycles (all 2m germs bounded with all 2m sector faces bounded), paths,
 or in principle several paths; disconnected links never occur in the inputs
 the package was written for, so they are flagged with a warning and handled
 per component.
+
+The automorphisms of the complex, read as maps of the rotation system of
+germs around the vertices, act on the corners; ``corner_automorphisms``
+lists those corner permutations, which the command line reduces the
+weight test by.
 """
 
 from __future__ import annotations
@@ -348,6 +353,90 @@ class BoundedComplex:
                 f"per component", stacklevel=2)
             return Link(vid, m, MULTIPATH, tuple(components))
         return Link(vid, m, PATH, tuple(components))
+
+
+def corner_automorphisms(gamma: BoundedComplex):
+    """Corner permutations induced by the automorphisms of the cell
+    complex of ``gamma``, the identity left out.
+
+    An automorphism is a map of the germ rotation system: vertex v goes to
+    phi(v) and germ i at v to germ (k_v + eps*i) mod d at phi(v), with eps
+    = -1 for the orientation-reversing maps, segments going to segments
+    and rays to rays.  The image of one flag (a vertex, a germ, eps)
+    determines the whole map, because the segments connect every vertex,
+    so the search fixes a flag at a base vertex and propagates each
+    candidate image along the segments.  A propagation that closes up
+    consistently is a local isomorphism of the connected segment graph
+    onto a graph with as many vertices, hence a bijection.  Sector i (ccw
+    of germ i) goes to sector k_v + i, or to k_v - i - 1 when eps = -1.
+    Without corners every automorphism acts trivially on them, so the
+    result is []; with one bounded face the action is faithful.
+    """
+    cx = gamma.complex
+    if not gamma.corners:
+        return []
+    rings = [cx.germ_edges(v.id) for v in cx.vertices]
+    position = {(eid, vid): i for vid, ring in enumerate(rings)
+                for i, eid in enumerate(ring)}
+    # steps[v][i]: (w, j) when germ i at v is a segment arriving at w as
+    # w's germ j; None for a ray
+    steps = []
+    for vid, ring in enumerate(rings):
+        out = []
+        for eid in ring:
+            e = cx.edges[eid]
+            w = e.v1 if e.v0 == vid else e.v0
+            out.append((w, position[(eid, w)]) if e.bounded else None)
+        steps.append(out)
+    base = 0
+    images = [vid for vid, ring in enumerate(rings)
+              if len(ring) == len(rings[base])]
+    sector = {Corner(vid, cx.sector_face(vid, i)): i
+              for vid, ring in enumerate(rings) for i in range(len(ring))}
+    found = []
+    for image in images:
+        for k in range(len(steps[base])):
+            for eps in (1, -1):
+                if (image, k, eps) == (base, 0, 1):
+                    continue
+                vmap = _propagate(steps, base, image, k, eps)
+                if vmap is None:
+                    continue
+                perm = {}
+                for c in gamma.corners:
+                    w, kv = vmap[c.vertex]
+                    i = (kv + sector[c]) if eps == 1 else (kv - sector[c] - 1)
+                    perm[c] = Corner(w, cx.sector_face(w, i % len(steps[w])))
+                found.append(perm)
+    return found
+
+
+def _propagate(steps, base, image, k, eps):
+    """{v: (phi(v), k_v)} of the rotation-system map sending germ i at
+    ``base`` to germ (k + eps*i) mod d at ``image``; None if there is no
+    such map."""
+    vmap = {base: (image, k)}
+    stack = [base]
+    while stack:
+        v = stack.pop()
+        w, kv = vmap[v]
+        ring, target = steps[v], steps[w]
+        for i, step in enumerate(ring):
+            hit = target[(kv + eps * i) % len(ring)]
+            if (step is None) != (hit is None):
+                return None
+            if step is None:
+                continue
+            (u, j), (x, jx) = step, hit
+            if len(steps[u]) != len(steps[x]):
+                return None
+            ku = (jx - eps * j) % len(steps[u])
+            if u not in vmap:
+                vmap[u] = (x, ku)
+                stack.append(u)
+            elif vmap[u] != (x, ku):
+                return None
+    return vmap
 
 
 def bounded_complex(complex_: CellComplex) -> BoundedComplex:

@@ -28,6 +28,7 @@ from .cells import (
     bounded_complex,
     build_complex,
     chamber_walls,
+    corner_automorphisms,
     face_census,
     gamma_of,
     is_simplicial,
@@ -154,7 +155,7 @@ def cmd_analyze(args, out) -> int:
     report.append(("link_census",
                    " ".join(f"{_census_token(*k)}:{lc[k]}"
                             for k in sorted(lc)) or "-"))
-    result = solve(gam)
+    result = solve(gam, symmetry=corner_automorphisms(gam))
     report.append(("falk", result.status.upper()))
     for key, value in report:
         print(f"{key}: {value}", file=out)
@@ -234,7 +235,8 @@ def cmd_falk_constraints(args, out) -> int:
 def cmd_falk_solve(args, out) -> int:
     gam = gamma_of(as_line_arrangement(load_arrangement(args.arrangement)))
     result = solve(gam, equality_asphericity=args.equality_asphericity,
-                   minimize_total=args.minimize_total)
+                   minimize_total=args.minimize_total,
+                   symmetry=corner_automorphisms(gam))
     if not check_certificate(result.lp, result.lp_result):
         raise RuntimeError("solver returned a witness or Farkas certificate "
                            "that fails its check")

@@ -27,9 +27,16 @@ On paths the start j ranges as in the side conditions above; on cycles all
 rotations are generated and duplicates are removed by multiplicity vector.
 Type (iii) dominates type (iv) termwise, which the tests pin down.
 
-The linear program over the corner variables is solved exactly by lpcore;
-an optional symmetry (corner permutations) shrinks variables to orbits,
-which restricts the search to symmetric weight systems.
+The linear program over the corner variables is solved exactly by lpcore.
+An optional symmetry (corner permutations, such as
+``cells.corner_automorphisms``; the CLI always passes that group) shrinks
+the variables to orbits and merges rows that become equal, which
+restricts the search to symmetric weight systems.  That loses nothing:
+each permutation must map the unreduced rows onto themselves (checked,
+else SymmetryError), so averaging a solution over the group gives an
+orbit-constant one with the same total weight.  A feasible orbit solution
+is expanded to every corner and verified against the unreduced system; an
+infeasible one's Farkas certificate is over the orbit rows.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from arrlab.arrangement import builtin, decone, default_decone_index
-from arrlab.cells import bounded_complex, build_complex
+from arrlab.cells import bounded_complex, build_complex, corner_automorphisms
 from arrlab.falk import solve
 
 
@@ -40,3 +40,14 @@ def lid_solution(gamma_lid):
 @pytest.fixture(scope="session")
 def lid_solution_equality(gamma_lid):
     return solve(gamma_lid, equality_asphericity=True)
+
+
+@pytest.fixture(scope="session")
+def lid_solution_equality_min(gamma_lid):
+    return solve(gamma_lid, equality_asphericity=True, minimize_total=True)
+
+
+@pytest.fixture(scope="session")
+def lid_group(gamma_lid):
+    """The corner permutations of the section's D5 symmetry."""
+    return corner_automorphisms(gamma_lid)

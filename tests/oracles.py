@@ -7,8 +7,9 @@ feasibility by Fourier-Motzkin elimination, circuit multiplicities by
 literally walking the circuit, chamber wall counts by sign-vector
 enumeration, SVG decimals by a digit loop over Fractions, LP results by
 the dense Fraction simplex tableau, ranks by Gaussian elimination and
-angular order by cross products.  It also holds the seeded input
-generators and the small helpers only tests call: the three-way
+angular order by cross products, symmetries of the bounded complex by
+line permutations and by point maps of the plane.  It also holds the
+seeded input generators and the small helpers only tests call: the three-way
 comparison, the Galois conjugate, circuit weight sums and the degree and
 value of an integer polynomial.
 """
@@ -24,6 +25,7 @@ from arrlab.arrangement import (
     LineArrangement,
     intersection_points,
 )
+from arrlab.cells import Corner
 from arrlab.factored import Factorization
 from arrlab.falk import WeightError
 from arrlab.lpcore import (
@@ -183,6 +185,71 @@ def find_factorization_bruteforce(arr: LineArrangement):
             part2 = frozenset(i for i in range(n) if (assign >> i) & 1)
             return Factorization(frozenset(range(n)) - part2, part2)
     return None
+
+
+def induced_line_permutation(gamma, perm):
+    """A permutation sigma of the lines (line i -> sigma[i]) that maps
+    the line set of every intersection point to that of a point, keeps
+    parallel classes, and induces the corner permutation ``perm`` (corner
+    (v, f) -> (sigma(v), sigma(f)), with faces known by their vertex
+    sets); None when there is none.  Backtracking over line images,
+    pruned by the line sets of the vertices that carry corners."""
+    lines = gamma.complex.arrangement.lines
+    n = len(lines)
+    vertex_at = {v.lines: v.id for v in gamma.vertices}
+    face_at = {frozenset(f.vertex_ids): f.id for f in gamma.faces}
+    faces = {f.id: f for f in gamma.faces}
+    options = [set(range(n)) for _ in range(n)]
+    for c, d in perm.items():
+        for i in gamma.vertices[c.vertex].lines:
+            options[i] &= gamma.vertices[d.vertex].lines
+
+    def induces(sigma):
+        image = {}
+        for v in gamma.vertices:
+            w = vertex_at.get(frozenset(sigma[i] for i in v.lines))
+            if w is None:
+                return False
+            image[v.id] = w
+        if any(lines[i].is_parallel(lines[j])
+               != lines[sigma[i]].is_parallel(lines[sigma[j]])
+               for i, j in combinations(range(n), 2)):
+            return False
+        return all(d == Corner(image[c.vertex], face_at.get(frozenset(
+            image[v] for v in faces[c.face].vertex_ids)))
+            for c, d in perm.items())
+
+    def extend(sigma):
+        if len(sigma) == n:
+            return tuple(sigma) if induces(sigma) else None
+        for j in sorted(options[len(sigma)] - set(sigma)):
+            found = extend(sigma + [j])
+            if found is not None:
+                return found
+        return None
+
+    return extend([])
+
+
+def point_map_permutation(gamma, move):
+    """The corner permutation induced by a map ``move`` of the plane that
+    sends the vertex set of Gamma onto itself, faces known by their vertex
+    sets."""
+    vertex_at = {v.point: v.id for v in gamma.vertices}
+    face_at = {frozenset(f.vertex_ids): f.id for f in gamma.faces}
+    vmap = {v.id: vertex_at[move(v.point)] for v in gamma.vertices}
+    fmap = {f.id: face_at[frozenset(vmap[v] for v in f.vertex_ids)]
+            for f in gamma.faces}
+    return {c: Corner(vmap[c.vertex], fmap[c.face]) for c in gamma.corners}
+
+
+def interior_square() -> LineArrangement:
+    """x = 0, y = 0 and the four lines x +- y = +-1 around the origin,
+    invariant under the dihedral group of order 8 of the square."""
+    rows = ((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 1, -1), (1, -1, 1),
+            (1, -1, -1))
+    return LineArrangement(tuple(tuple(map(Fraction, r)) for r in rows),
+                           RATIONAL)
 
 
 def fourier_motzkin_feasible(rows, nvars: int) -> bool:

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import arrlab.arrangement
+import arrlab.cells
 import arrlab.factored
+import arrlab.poset
 from arrlab.arrangement import LineArrangement, builtin, serialize_arrangement
 from arrlab.cli import main
 from arrlab.factored import (
@@ -60,6 +63,34 @@ def test_factor_command_finds_intersections_once(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("NOT FACTORED\n") and "contradiction:" in out
     assert len(calls) == 1
+
+
+FACTORED_FILE = "field rational\nline 1 0 0\nline 0 1 0\nline 0 1 1\n"
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["analyze", "@icosidodecahedral"], "input: @icosidodecahedral"),
+    (["factor", "{path}"], "FACTORED"),
+])
+def test_commands_compute_intersections_once(argv, first_line, tmp_path,
+                                             monkeypatch, capsys):
+    # analyze reads the points in the poset, the complex and the search;
+    # factor on a FACTORED input in the propagation, the search and its
+    # re-check: each reads them three times, and they are computed once
+    path = tmp_path / "factored.txt"
+    path.write_text(FACTORED_FILE, encoding="utf-8")
+    computed, reads = [], []
+    crossings = arrlab.arrangement._crossings
+    monkeypatch.setattr(arrlab.arrangement, "_crossings",
+                        lambda lines: computed.append(lines)
+                        or crossings(lines))
+    for module in (arrlab.poset, arrlab.cells, arrlab.factored):
+        monkeypatch.setattr(module, "intersection_points",
+                            lambda arr, read=module.intersection_points:
+                            reads.append(arr) or read(arr))
+    assert main([a.format(path=path) for a in argv]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == first_line
+    assert len(reads) == 3 and len(computed) == 1
 
 
 def test_single_line_rejected():

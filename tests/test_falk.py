@@ -25,6 +25,8 @@ from arrlab.lpcore import check_certificate
 from oracles import (
     essential_random_line_arrangement,
     evaluate_circuit,
+    interior_square,
+    point_map_permutation,
     simulate_circuit_walk,
 )
 
@@ -289,24 +291,8 @@ def test_constraints_invariant_under_relabeling():
 def test_symmetry_orbit_reduction():
     # the interior-square arrangement has an obvious 4-fold rotation;
     # build the permutation from the geometry (rotation by 90 degrees)
-    from arrlab.arrangement import LineArrangement
-    from arrlab.scalar import RATIONAL
-    arr = LineArrangement(
-        ((F(1), F(0), F(0)), (F(0), F(1), F(0)),
-         (F(1), F(1), F(1)), (F(1), F(1), F(-1)),
-         (F(1), F(-1), F(1)), (F(1), F(-1), F(-1))), RATIONAL)
-    gam = gamma_of(arr)
-
-    def rotate(p):
-        return (-p[1], p[0])
-
-    vert_at = {v.point: v.id for v in gam.vertices}
-    face_at = {frozenset(f.vertex_ids): f.id for f in gam.faces}
-    vmap = {v.id: vert_at[rotate(v.point)] for v in gam.vertices}
-    fmap = {}
-    for f in gam.faces:
-        fmap[f.id] = face_at[frozenset(vmap[v] for v in f.vertex_ids)]
-    perm = {c: Corner(vmap[c.vertex], fmap[c.face]) for c in gam.corners}
+    gam = gamma_of(interior_square())
+    perm = point_map_permutation(gam, lambda p: (-p[1], p[0]))
     system = build_constraints(gam, symmetry=[perm])
     full = build_constraints(gam)
     assert len(system.variables) < len(full.variables)

@@ -14,8 +14,9 @@ import random
 
 import pytest
 
-from arrlab.arrangement import cone, serialize_arrangement
+from arrlab.arrangement import builtin, cone, serialize_arrangement
 from arrlab.cli import main
+from arrlab.poset import IntPolynomial, poincare_polynomial
 
 from oracles import essential_random_line_arrangement, golden_line_arrangement
 
@@ -121,8 +122,9 @@ GOLDEN_DIGESTS = {
         "353bc5ae85c428326c1c97a6d5db84cf41f7da84b5be0476f5c4efeb67d3a65d",
     "solve/cone":
         "1c01115304ba23655b46cc6c08ad9fa260ea9e37e8304e7153229eed658802ea",
+    # the CLI solves over the symmetry orbits: 1/3 on each triangle corner
     "solve-eq-min/generic3":
-        "e9067f8ef5b27a4364ae02f6503865a647a136b899ab84605fd287c354fe127f",
+        "a0833573caaef006f15564558333f0838cf036cd3657c67eab71120ec5c6ce14",
     "solve-eq-min/boolean2":
         "1d4e76faeff9105a1a7b56a6273ea69a0cd0d364b7cc546b0fc6d3a234e91d58",
     "solve-eq-min/boolean3":
@@ -185,3 +187,33 @@ def run_case(case, name, tmp_path, capsys):
 def test_golden_output(case, name, tmp_path, capsys):
     assert run_case(case, name, tmp_path, capsys) == \
         GOLDEN_DIGESTS[f"{case}/{name}"]
+
+
+# the reflection arrangements: exponents (pi = product of (1 + e t)) and
+# the digest of the analyze report.  In Q(sqrt5) syntax -phi is
+# -1/2~-1/2, while -1/2~1/2 is 1/phi; that slip turns H3 into an
+# arrangement with pi = 1 + 15t + 87t^2 + 73t^3.
+REFLECTION_ANALYZE = {
+    "A3": ((1, 2, 3),
+           "f43773dd14281213626d77ec1fc3bc4abbd24c4793fd051bbb6bd9de5599c4de"),
+    "B3": ((1, 3, 5),
+           "8f84de7d9e0c7329047201cd0ecea88cb11bddf14a3e928d0b3fdaf4f402443a"),
+    "H3": ((1, 5, 9),
+           "96a050434518053393b9f4c6c84ab272730306dbaa4c90125308f73f5c7bba4f"),
+}
+
+
+@pytest.mark.parametrize("name", REFLECTION_ANALYZE)
+def test_reflection_arrangement_analyze(name, capsys):
+    exponents, digest = REFLECTION_ANALYZE[name]
+    pi = IntPolynomial((1,))
+    for e in exponents:
+        pi = pi * IntPolynomial((1, e))
+    assert poincare_polynomial(builtin(name)) == pi
+    assert main(["analyze", "@" + name]) == 0
+    out = capsys.readouterr().out
+    split = ",".join(map(str, exponents))
+    for line in (f"integer_split: {{{split}}}", "simplicial: true",
+                 "falk: FEASIBLE"):
+        assert line in out.splitlines()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

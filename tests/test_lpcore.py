@@ -196,15 +196,25 @@ def test_rational_data_survives():
     assert res.objective_value == F(3, 14)
 
 
-def test_icosidodecahedral_pivot_counts(gamma_lid, lid_solution,
-                                       lid_solution_equality):
+def test_icosidodecahedral_pivot_counts(lid_solution, lid_solution_equality,
+                                       lid_solution_equality_min):
     # Bland's rule on the exact rows: the counts of the dense Fraction
     # tableau, drive-outs included
     assert lid_solution.lp_result.pivots == 758
     assert lid_solution_equality.lp_result.pivots == 1132
-    res = solve(gamma_lid, equality_asphericity=True, minimize_total=True)
+    res = lid_solution_equality_min
     assert res.lp_result.pivots == 1244
     assert res.lp_result.objective_value == 58
+
+
+def test_icosidodecahedral_reduced_pivot_counts(gamma_lid, lid_group):
+    # the same three solves over the 18 corner orbits of the D5 group,
+    # as the CLI runs them
+    counts = [solve(gamma_lid, symmetry=lid_group, **kw).lp_result.pivots
+              for kw in ({}, {"equality_asphericity": True},
+                         {"equality_asphericity": True,
+                          "minimize_total": True})]
+    assert counts == [66, 77, 94]
 
 
 def test_pivots_take_no_part_in_equality():
