@@ -217,3 +217,35 @@ def test_reflection_arrangement_analyze(name, capsys):
                  "falk: FEASIBLE"):
         assert line in out.splitlines()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _large_inputs():
+    rational = essential_random_line_arrangement(random.Random(24), 24)
+    return {
+        "rational24": rational,
+        "golden24": golden_line_arrangement(random.Random(24), 24),
+        "cone24": cone(rational),
+    }
+
+
+# falk constraints on seeded 24-line inputs: unlike the small inputs above,
+# these print variable indices in the hundreds (747-942 corners)
+LARGE_CONSTRAINT_DIGESTS = {
+    "rational24":
+        "5270a13fcb0c17c2281bd6570970feee39f0762d86d6314cb5d81787ed44c58c",
+    "golden24":
+        "2358e19906a23059673b4e1f4b2dcf468d9569ce9ffd80f2ea6aa21877ed40f3",
+    "cone24":
+        "444b097a3f24f8cf0a074e967c617252069f8619006b0886e97e25facf682c8f",
+}
+
+
+@pytest.mark.parametrize("name", LARGE_CONSTRAINT_DIGESTS)
+def test_large_constraint_output(name, tmp_path, capsys):
+    ref = tmp_path / f"{name}.txt"
+    ref.write_text(serialize_arrangement(_large_inputs()[name]),
+                   encoding="utf-8")
+    assert main(["falk", "constraints", str(ref)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        LARGE_CONSTRAINT_DIGESTS[name]
