@@ -27,16 +27,20 @@ On paths the start j ranges as in the side conditions above; on cycles all
 rotations are generated and duplicates are removed by multiplicity vector.
 Type (iii) dominates type (iv) termwise, which the tests pin down.
 
-The linear program over the corner variables is solved exactly by lpcore.
-An optional symmetry (corner permutations, such as
-``cells.corner_automorphisms``; the CLI always passes that group) shrinks
-the variables to orbits and merges rows that become equal, which
-restricts the search to symmetric weight systems.  That loses nothing:
-each permutation must map the unreduced rows onto themselves (checked,
-else SymmetryError), so averaging a solution over the group gives an
-orbit-constant one with the same total weight.  A feasible orbit solution
-is expanded to every corner and verified against the unreduced system; an
-infeasible one's Farkas certificate is over the orbit rows.
+Each condition is one sparse lpcore row: ``(index, coeff)`` pairs over
+the corners in ``gamma.corners`` order, assembled by variable index, and
+the linear program is solved exactly by lpcore.  An optional symmetry
+(corner permutations, such as ``cells.corner_automorphisms``; the CLI
+always passes that group) shrinks the variables to orbits and merges rows
+that become equal, which restricts the search to symmetric weight
+systems.  That loses nothing: each permutation, applied to the corner
+indices, must map the unreduced rows onto themselves (checked, else
+SymmetryError), so averaging a solution over the group gives an
+orbit-constant one with the same total weight.  ``solve`` builds the
+unreduced system once, reduces it, re-checks the LP's witness or Farkas
+certificate, and checks a feasible orbit solution, expanded to every
+corner, against the unreduced system; an infeasible one's Farkas
+certificate is over the orbit rows.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from fractions import Fraction
 
 from .cells import BoundedComplex, CYCLE, Corner, Link
 from .lpcore import (EQ, FEASIBLE, GE, LE, LPRow, StandardFormLP,
-                     solve_feasibility)
+                     check_certificate, solve_feasibility)
 
 TYPE_I = "i"
 TYPE_II = "ii"
@@ -133,7 +137,8 @@ class ConstraintSystem:
 
     ``variables`` lists one representative corner per variable; ``orbits``
     gives the full corner set behind each variable; ``rows`` are tagged
-    LPRows with integer data.  Nonnegativity of all variables is implicit.
+    sparse LPRows with integer data, indexed by variable.  Nonnegativity
+    of all variables is implicit.
     """
 
     variables: tuple
@@ -145,95 +150,116 @@ class SymmetryError(ValueError):
     """A supplied corner permutation does not preserve the constraints."""
 
 
-def _corner_orbits(corners, symmetry):
-    parent = {c: c for c in corners}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for perm in symmetry:
-        if set(perm) != set(corners) or set(perm.values()) != set(corners):
-            raise SymmetryError("permutation is not a bijection on corners")
-        for c, d in perm.items():
-            ra, rb = find(c), find(d)
-            if ra != rb:
-                parent[ra] = rb
-    orbits = {}
-    for c in corners:
-        orbits.setdefault(find(c), []).append(c)
-    reps = sorted(orbits)
-    return tuple(reps), tuple(tuple(sorted(orbits[r])) for r in reps)
-
-
 def build_constraints(gamma: BoundedComplex, *, equality_asphericity=False,
                       symmetry=None) -> ConstraintSystem:
     """Assemble the full constraint system of the bounded complex.
 
     One row per bounded face (corner weights sum to d(f) - 2, relation <=
-    or = per the flag), one row per deduplicated circuit (weight sum >= 2).
-    With a symmetry, variables become corner orbits and coefficients are
+    or = per the flag), one row per deduplicated circuit (weight sum >= 2),
+    each a sparse LPRow over the corners in ``gamma.corners`` order.  With
+    a symmetry, variables become corner orbits and coefficients are
     accumulated over orbit members; the permutations must leave the
     unreduced system invariant.
     """
     corners = gamma.corners
-    corner_rows = []
-    for f in gamma.faces:
-        coeffs = {Corner(v, f.id): 1 for v in f.vertex_ids}
-        corner_rows.append((coeffs, EQ if equality_asphericity else LE,
-                            f.size - 2, f"{ASPHERICITY} face {f.id}"))
+    index = {c: i for i, c in enumerate(corners)}
+    rel = EQ if equality_asphericity else LE
+    rows = [LPRow(tuple(sorted((index[Corner(v, f.id)], 1)
+                               for v in f.vertex_ids)),
+                  rel, f.size - 2, f"{ASPHERICITY} face {f.id}")
+            for f in gamma.faces]
     for lk in gamma.links():
+        labels = [[index[c] for c in comp.corners] for comp in lk.components]
         for c in enumerate_circuits(lk):
-            coeffs = {}
-            for count, corner in zip(c.counts, c.corners):
+            acc = {}
+            for count, j in zip(c.counts, labels[c.component]):
                 if count:
-                    coeffs[corner] = coeffs.get(corner, 0) + count
-            corner_rows.append(
-                (coeffs, GE, 2,
-                 f"{ADMISSIBILITY} vertex {c.vertex} type ({c.ctype}) "
-                 f"component {c.component} start {c.start}"))
+                    acc[j] = acc.get(j, 0) + count
+            rows.append(LPRow(
+                tuple(sorted(acc.items())), GE, 2,
+                f"{ADMISSIBILITY} vertex {c.vertex} type ({c.ctype}) "
+                f"component {c.component} start {c.start}"))
+    # dict keys keep the first of equal rows, with its tag
+    system = ConstraintSystem(corners, tuple((c,) for c in corners),
+                              tuple(dict.fromkeys(rows)))
+    return _orbit_system(system, symmetry) if symmetry else system
 
-    if symmetry:
-        variables, orbits = _corner_orbits(corners, symmetry)
-        _check_symmetry_invariance(corner_rows, symmetry)
-    else:
-        variables = corners
-        orbits = tuple((c,) for c in corners)
-    var_index = {}
-    for idx, orbit in enumerate(orbits):
-        for c in orbit:
-            var_index[c] = idx
 
+def _orbit_system(system, symmetry):
+    """The unreduced ``system`` over the orbits of ``symmetry``, rows that
+    become equal kept once, in order."""
+    corners = system.variables
+    perms = _index_permutations(corners, symmetry)
+    roots, orbits, orbit_of = _corner_orbits(len(corners), perms)
+    _check_symmetry_invariance(system.rows, perms)
     rows = []
-    seen = set()
-    for coeffs, rel, rhs, tag in corner_rows:
-        dense = [0] * len(variables)
-        for corner, k in coeffs.items():
-            dense[var_index[corner]] += k
-        row = LPRow(tuple(dense), rel, rhs, tag)
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    return ConstraintSystem(tuple(variables), orbits, tuple(rows))
+    for row in system.rows:
+        acc = {}
+        for i, k in row.coeffs:
+            o = orbit_of[i]
+            acc[o] = acc.get(o, 0) + k
+        rows.append(LPRow(tuple(sorted(acc.items())), row.rel, row.rhs,
+                          row.tag))
+    return ConstraintSystem(
+        tuple(corners[r] for r in roots),
+        tuple(tuple(corners[i] for i in orbit) for orbit in orbits),
+        tuple(dict.fromkeys(rows)))
 
 
-def _check_symmetry_invariance(corner_rows, symmetry):
-    rows_as_set = {}
-    for coeffs, rel, rhs, _ in corner_rows:
-        key = (frozenset(coeffs.items()), rel, rhs)
-        rows_as_set[key] = rows_as_set.get(key, 0) + 1
+def _index_permutations(corners, symmetry):
+    """Each corner permutation as the list of the images of the corner
+    indices; SymmetryError unless it is a bijection on ``corners``."""
+    index = {c: i for i, c in enumerate(corners)}
+    out = []
     for perm in symmetry:
-        permuted = {}
-        for coeffs, rel, rhs, _ in corner_rows:
-            key = (frozenset((perm[c], k) for c, k in coeffs.items()),
-                   rel, rhs)
-            permuted[key] = permuted.get(key, 0) + 1
-        if permuted != rows_as_set:
-            raise SymmetryError(
-                "permutation does not preserve the corner incidence "
-                "structure of the constraint system")
+        image = [index.get(perm.get(c)) for c in corners]
+        if (len(perm) != len(corners) or None in image
+                or len(set(image)) != len(image)):
+            raise SymmetryError("permutation is not a bijection on corners")
+        out.append(image)
+    return out
+
+
+def _corner_orbits(n, perms):
+    """(roots, orbits, orbit of each index) of the group the index
+    permutations generate on range(n).  Each orbit is listed by ascending
+    index and represented by its union-find root; orbits are in the order
+    of their roots."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for image in perms:
+        for i, j in enumerate(image):
+            ra, rb = find(i), find(j)
+            if ra != rb:
+                parent[ra] = rb
+    members = {}
+    for i in range(n):
+        members.setdefault(find(i), []).append(i)
+    roots = sorted(members)
+    orbit_of = [0] * n
+    for o, r in enumerate(roots):
+        for i in members[r]:
+            orbit_of[i] = o
+    return roots, tuple(members[r] for r in roots), orbit_of
+
+
+def _check_symmetry_invariance(rows, perms):
+    """SymmetryError unless each index permutation maps the set of the
+    distinct sparse ``rows`` onto itself."""
+    keys = {(r.coeffs, r.rel, r.rhs) for r in rows}
+    for image in perms:
+        for r in rows:
+            moved = tuple(sorted((image[i], k) for i, k in r.coeffs))
+            if (moved, r.rel, r.rhs) not in keys:
+                raise SymmetryError(
+                    "permutation does not preserve the corner incidence "
+                    "structure of the constraint system")
 
 
 @dataclass(frozen=True)
@@ -271,14 +297,16 @@ def check_corners(corners, weights):
 def verify(gamma: BoundedComplex, weights) -> VerifyReport:
     """Check a weight system against every constraint of the full system."""
     check_corners(gamma.corners, weights)
-    violations = []
-    for c in gamma.corners:
-        if Fraction(weights[c]) < 0:
-            violations.append(Violation(
-                f"{NONNEGATIVITY} corner ({c.vertex},{c.face})",
-                Fraction(weights[c]), GE, 0))
-    system = build_constraints(gamma)
+    return _check_weights(build_constraints(gamma), weights)
+
+
+def _check_weights(system, weights) -> VerifyReport:
+    """The nonnegativity conditions and the rows of the unreduced
+    ``system`` that ``weights``, total on its corners, violate."""
     x = [Fraction(weights[c]) for c in system.variables]
+    violations = [Violation(f"{NONNEGATIVITY} corner ({c.vertex},{c.face})",
+                            v, GE, 0)
+                  for c, v in zip(system.variables, x) if v < 0]
     for row in system.rows:
         lhs = row.value(x)
         if not row.holds(lhs):
@@ -303,27 +331,33 @@ def solve(gamma: BoundedComplex, *, equality_asphericity=False,
           minimize_total=False, symmetry=None) -> SolveResult:
     """Search for a weight system via exact LP feasibility.
 
-    A feasible outcome is a total nonnegative weight system that passes
-    ``verify``; an infeasible one carries the lpcore Farkas certificate,
-    which only certifies that the conditions have no nonnegative solution
-    (never that the arrangement is not aspherical).  ``minimize_total``
-    additionally minimizes the sum of all corner weights for small
-    reproducible output.
+    The LP's witness or Farkas certificate is re-checked by
+    ``check_certificate``, and a feasible outcome is a total nonnegative
+    weight system, checked against every row of the unreduced system (the
+    one ``verify`` checks, with = asphericity rows when asked for).  An
+    infeasible outcome carries the lpcore Farkas certificate, which only
+    certifies that the conditions have no nonnegative solution (never that
+    the arrangement is not aspherical).  A failed check raises
+    RuntimeError.  ``minimize_total`` additionally minimizes the sum of
+    all corner weights for small reproducible output.
     """
-    system = build_constraints(gamma, equality_asphericity=equality_asphericity,
-                               symmetry=symmetry)
+    full = build_constraints(gamma, equality_asphericity=equality_asphericity)
+    system = _orbit_system(full, symmetry) if symmetry else full
     objective = None
     if minimize_total:
         objective = tuple(len(orbit) for orbit in system.orbits)
     lp = StandardFormLP(len(system.variables), system.rows,
                         objective=objective)
     res = solve_feasibility(lp)
+    if not check_certificate(lp, res):
+        raise RuntimeError("solver returned a witness or Farkas certificate "
+                           "that fails its check")
     if res.status != FEASIBLE:
         return SolveResult(res.status, None, system, lp, res)
     weights = {}
     for value, orbit in zip(res.witness, system.orbits):
         for corner in orbit:
             weights[corner] = value
-    if not verify(gamma, weights).ok:
+    if not _check_weights(full, weights).ok:
         raise RuntimeError("solver produced weights that fail verification")
     return SolveResult(FEASIBLE, weights, system, lp, res)

@@ -1,8 +1,12 @@
 """Exact linear feasibility over the rationals, with certificates.
 
 Variables are implicitly nonnegative; rows are linear constraints with
-relation <=, >=, or =.  ``solve_feasibility`` runs a phase-1 simplex with
-Bland's anti-cycling rule (deterministic pivot order, hence bit-identical
+relation <=, >=, or =.  A row is sparse: its coefficients are
+``(index, coeff)`` pairs with strictly increasing variable indices and
+nonzero coefficients, the one row form from constraint assembly to the
+tableau, so equal rows are equal tuples.  Only the objective is a dense
+tuple.  ``solve_feasibility`` runs a phase-1 simplex with Bland's
+anti-cycling rule (deterministic pivot order, hence bit-identical
 reruns).  The tableau stores one column per variable and one surplus
 column per row; artificial variables live only in the basis and the cost
 vector.  It is sparse and fraction-free, as in Bareiss's and Edmonds's
@@ -45,16 +49,18 @@ UNBOUNDED = "unbounded"
 _HOLDS = {LE: operator.le, GE: operator.ge, EQ: operator.eq}
 
 
-def _dot(coeffs, x) -> Fraction:
-    return sum((c * v for c, v in zip(coeffs, x) if c), Fraction(0))
+def _dot(pairs, x) -> Fraction:
+    return sum((c * x[j] for j, c in pairs), Fraction(0))
 
 
 @dataclass(frozen=True)
 class LPRow:
     """The constraint ``coeffs . x rel rhs``.
 
-    ``tag`` names the row in reports; it takes no part in equality, so two
-    rows that differ only in their tags are duplicates.
+    ``coeffs`` is a tuple of ``(index, coeff)`` pairs, indices strictly
+    increasing and every coeff nonzero; a variable that is absent has
+    coefficient 0.  ``tag`` names the row in reports; it takes no part in
+    equality, so two rows that differ only in their tags are duplicates.
     """
 
     coeffs: tuple
@@ -87,15 +93,24 @@ class StandardFormLP:
     objective: tuple | None = None
 
     def __post_init__(self):
-        vectors = [r.coeffs for r in self.rows]
+        data = [r.rhs for r in self.rows]
+        for r in self.rows:
+            last = -1
+            for j, c in r.coeffs:
+                if not (isinstance(j, int) and last < j < self.nvars):
+                    raise ValueError("row indices must increase strictly "
+                                     "and stay below the variable count")
+                if not c:
+                    raise ValueError("zero coefficient in a sparse row")
+                last = j
+                data.append(c)
         if self.objective is not None:
-            vectors.append(self.objective)
-        if any(len(v) != self.nvars for v in vectors):
-            raise ValueError("row or objective length does not match the "
-                             "variable count")
+            if len(self.objective) != self.nvars:
+                raise ValueError("objective length does not match the "
+                                 "variable count")
+            data.extend(self.objective)
         if len(set(self.rows)) != len(self.rows):
             raise ValueError("duplicate rows")
-        data = [c for v in vectors for c in v] + [r.rhs for r in self.rows]
         if not all(isinstance(c, (int, Fraction)) for c in data):
             raise TypeError("LP data must be ints or Fractions")
 
@@ -111,7 +126,7 @@ class FeasibilityResult:
 
 
 def _ge_form(lp: StandardFormLP):
-    """Rows as (coeffs, rhs) meaning coeffs . x >= rhs, with a back-map
+    """Rows as (pairs, rhs) meaning pairs . x >= rhs, with a back-map
     [(original_row, sigma)] so '=' rows split into a +/- pair."""
     ge_rows = []
     back = []
@@ -120,7 +135,8 @@ def _ge_form(lp: StandardFormLP):
             ge_rows.append((row.coeffs, row.rhs))
             back.append((idx, 1))
         if row.rel in (LE, EQ):
-            ge_rows.append((tuple(-c for c in row.coeffs), -row.rhs))
+            ge_rows.append((tuple((j, -c) for j, c in row.coeffs),
+                            -row.rhs))
             back.append((idx, -1))
     return ge_rows, back
 
@@ -128,12 +144,13 @@ def _ge_form(lp: StandardFormLP):
 class _Tableau:
     """Sparse, fraction-free simplex tableau with Bland's rule.
 
-    Internal rows arrive in ge-form (coeffs . x >= rhs) and are stored as
-    equalities with a surplus column: x (columns 0 .. nvars-1) then one
-    surplus per row.  A row whose rhs is <= 0 is negated so its surplus can
-    start basic.  Every other row starts with an artificial variable basic;
-    artificials get the ids ``nvars + m + k`` in ``basis`` and ``cost`` but
-    no stored column, since none may re-enter the basis once it has left.
+    Internal rows arrive in ge-form (sparse pairs . x >= rhs) and are
+    stored as equalities with a surplus column: x (columns 0 .. nvars-1)
+    then one surplus per row.  A row whose rhs is <= 0 is negated so its
+    surplus can start basic.  Every other row starts with an artificial
+    variable basic; artificials get the ids ``nvars + m + k`` in ``basis``
+    and ``cost`` but no stored column, since none may re-enter the basis
+    once it has left.
 
     Row r holds integers only.  ``rows[r]`` maps each column to its nonzero
     entry, and the exact row and rhs are ``rows[r]`` and ``rhs[r]`` divided
@@ -163,11 +180,11 @@ class _Tableau:
         self.cost = [0] * self.ncols
         self.cols = [set() for _ in range(self.ncols)]
         self.pivots = 0
-        for i, (coeffs, b) in enumerate(ge_rows):
+        for i, (pairs, b) in enumerate(ge_rows):
             # scaled by the lcm of its denominators, with -lcm as its
             # surplus entry (a.x - s = b), the row is primitive
-            lcm = math.lcm(b.denominator, *(c.denominator for c in coeffs))
-            row = {j: int(c * lcm) for j, c in enumerate(coeffs) if c}
+            lcm = math.lcm(b.denominator, *(c.denominator for _, c in pairs))
+            row = {j: int(c * lcm) for j, c in pairs}
             row[nvars + i] = -lcm
             b = int(b * lcm)
             if b <= 0:
@@ -336,12 +353,13 @@ def check_certificate(lp: StandardFormLP, result: FeasibilityResult) -> bool:
             return False
         return (lp.objective is None
                 or (result.objective_value is not None
-                    and _dot(lp.objective, x) == result.objective_value))
+                    and _dot(enumerate(lp.objective), x)
+                    == result.objective_value))
     if result.status == INFEASIBLE:
         u = result.certificate
         if u is None or len(u) != len(lp.rows):
             return False
-        combined = [Fraction(0)] * lp.nvars
+        combined = [0] * lp.nvars
         rhs = Fraction(0)
         for mult, row in zip(u, lp.rows):
             if row.rel == GE:
@@ -355,7 +373,7 @@ def check_certificate(lp: StandardFormLP, result: FeasibilityResult) -> bool:
             else:
                 s = mult
             if s:
-                for j, c in enumerate(row.coeffs):
+                for j, c in row.coeffs:
                     combined[j] += s * c
                 rhs += s * row.rhs
         return all(c <= 0 for c in combined) and rhs > 0

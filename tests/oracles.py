@@ -6,7 +6,8 @@ subset alternating sum, factorizations by trying every assignment, LP
 feasibility by Fourier-Motzkin elimination, circuit multiplicities by
 literally walking the circuit, chamber wall counts by sign-vector
 enumeration, SVG decimals by a digit loop over Fractions, LP results by
-the dense Fraction simplex tableau, ranks by Gaussian elimination and
+the dense Fraction simplex tableau (dense rows live only here, built by
+``dense_coeffs``), ranks by Gaussian elimination and
 angular order by cross products, symmetries of the bounded complex by
 line permutations and by point maps of the plane.  It also holds the
 seeded input generators and the small helpers only tests call: the three-way
@@ -252,16 +253,30 @@ def interior_square() -> LineArrangement:
                            RATIONAL)
 
 
+def dense_coeffs(pairs, nvars: int) -> tuple:
+    """The dense coefficient tuple of a sparse row's (index, coeff) pairs."""
+    dense = [0] * nvars
+    for j, c in pairs:
+        dense[j] = c
+    return tuple(dense)
+
+
+def sparse_coeffs(coeffs) -> tuple:
+    """The (index, coeff) pairs of a dense coefficient sequence."""
+    return tuple((j, c) for j, c in enumerate(coeffs) if c)
+
+
 def fourier_motzkin_feasible(rows, nvars: int) -> bool:
     """Feasibility of {rows, x >= 0} by variable elimination.
 
-    Rows are (coeffs, rel, rhs); they are normalized to >=-form first.
+    Rows are (pairs, rel, rhs) with sparse LPRow coefficients; they are
+    made dense and normalized to >=-form first.
     Variables leave in the greedy (fewest products) order and redundant
     parallel rows are dropped, which keeps small instances tractable.
     """
     ge = []
-    for coeffs, rel, rhs in rows:
-        coeffs = tuple(Fraction(c) for c in coeffs)
+    for pairs, rel, rhs in rows:
+        coeffs = tuple(Fraction(c) for c in dense_coeffs(pairs, nvars))
         rhs = Fraction(rhs)
         if rel in (">=", "="):
             ge.append((coeffs, rhs))
@@ -376,7 +391,7 @@ def chamber_wall_counts(arr: CentralArrangement):
         rows = []
         for coeffs, rel, rhs in constraints:
             split = tuple(coeffs) + tuple(-c for c in coeffs)
-            rows.append(LPRow(split, rel, rhs))
+            rows.append(LPRow(sparse_coeffs(split), rel, rhs))
         lp = StandardFormLP(6, tuple(rows))
         return solve_feasibility(lp).status == "feasible"
 
@@ -464,9 +479,9 @@ def random_lp(rng, max_vars=12, max_rows=30) -> StandardFormLP:
         if (coeffs, rel, rhs) in seen:
             continue
         seen.add((coeffs, rel, rhs))
-        rows.append(LPRow(coeffs, rel, rhs))
+        rows.append(LPRow(sparse_coeffs(coeffs), rel, rhs))
     if not rows:
-        rows = [LPRow((1,) + (0,) * (nvars - 1), ">=", 0)]
+        rows = [LPRow(((0, 1),), ">=", 0)]
     return StandardFormLP(nvars, tuple(rows))
 
 
@@ -502,13 +517,13 @@ class DenseTableau:
     """Dense simplex tableau over Fractions with Bland's rule: the exact
     rows that ``lpcore._Tableau`` stores sparse and scaled to integers.
 
-    Internal rows arrive in ge-form (coeffs . x >= rhs) and are stored as
-    equalities with a surplus column, so each row has ``nvars + m`` entries:
-    x (columns 0 .. nvars-1) then one surplus per row.  A row whose rhs is
-    <= 0 is negated so its surplus can start basic.  Every other row starts
-    with an artificial variable basic; artificials get the ids
-    ``nvars + m + k`` in ``basis`` and ``cost`` but no stored column, since
-    none may re-enter the basis once it has left.
+    Internal rows arrive in ge-form (sparse pairs . x >= rhs) and are
+    stored dense as equalities with a surplus column, so each row has
+    ``nvars + m`` entries: x (columns 0 .. nvars-1) then one surplus per
+    row.  A row whose rhs is <= 0 is negated so its surplus can start
+    basic.  Every other row starts with an artificial variable basic;
+    artificials get the ids ``nvars + m + k`` in ``basis`` and ``cost`` but
+    no stored column, since none may re-enter the basis once it has left.
 
     Farkas multipliers need no artificial columns: at a phase-1 optimum the
     reduced cost of row k's surplus column, -e_k (or +e_k after the rhs
@@ -526,8 +541,9 @@ class DenseTableau:
         self.basis = []
         self.cost = [zero] * self.ncols
         self.pivots = 0
-        for i, (coeffs, b) in enumerate(ge_rows):
-            row = [Fraction(c) for c in coeffs] + [zero] * m
+        for i, (pairs, b) in enumerate(ge_rows):
+            row = [Fraction(c) for c in dense_coeffs(pairs, nvars)] \
+                + [zero] * m
             row[nvars + i] = -one  # surplus: a.x - s = b
             if b <= 0:
                 row = [-c for c in row]

@@ -1,6 +1,5 @@
 import hashlib
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +10,8 @@ from arrlab.arrangement import LineArrangement
 from arrlab.cli import main, parse_weights, serialize_weights
 from arrlab.cells import Corner
 from arrlab.falk import ConstraintSystem, SolveResult
-from arrlab.lpcore import GE, LE, LPRow, StandardFormLP, solve_feasibility
+from arrlab.lpcore import (GE, INFEASIBLE, LE, FeasibilityResult, LPRow,
+                           StandardFormLP, solve_feasibility)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -249,7 +249,8 @@ def test_falk_solve_verify_roundtrip(tmp_path, capsys):
 
 
 def test_falk_solve_checks_farkas_certificate(monkeypatch, capsys):
-    rows = (LPRow((1,), GE, 2, "row a"), LPRow((1,), LE, 1, "row b"))
+    rows = (LPRow(((0, 1),), GE, 2, "row a"),
+            LPRow(((0, 1),), LE, 1, "row b"))
     lp = StandardFormLP(1, rows)
     res = solve_feasibility(lp)
     corner = Corner(0, 0)
@@ -262,12 +263,15 @@ def test_falk_solve_checks_farkas_certificate(monkeypatch, capsys):
     assert out.splitlines()[:4] == [
         "INFEASIBLE", "certificate multipliers (per constraint row):",
         "  1 * [row a]", "  1 * [row b]"]
-    corrupted = replace(result, lp_result=replace(
-        res, certificate=(Fraction(0), Fraction(1))))
-    monkeypatch.setattr("arrlab.cli.solve", lambda gam, **kw: corrupted)
-    with pytest.raises(RuntimeError):
-        main(["falk", "solve", "@generic3"])
-    assert capsys.readouterr().out == ""
+    # the check is falk.solve's, so analyze's verdict is checked too
+    monkeypatch.undo()
+    corrupted = FeasibilityResult(INFEASIBLE, certificate=(Fraction(0),))
+    monkeypatch.setattr("arrlab.falk.solve_feasibility",
+                        lambda lp: corrupted)
+    for argv in (["falk", "solve", "@generic3"], ["analyze", "@generic3"]):
+        with pytest.raises(RuntimeError, match="fails its check"):
+            main(argv)
+        assert capsys.readouterr().out == ""
 
 
 def test_falk_verify_fail_exit_code(tmp_path, capsys):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import arrlab
+import arrlab.falk as falk
 from arrlab.arrangement import builtin
 from arrlab.cells import CYCLE, Corner, FaceCell, Link, LinkComponent, gamma_of
 from arrlab.falk import (
@@ -20,7 +22,7 @@ from arrlab.falk import (
     verify,
 )
 from arrlab.falk import _raw_circuits
-from arrlab.lpcore import check_certificate
+from arrlab.lpcore import check_certificate, solve_feasibility
 
 from oracles import (
     essential_random_line_arrangement,
@@ -187,7 +189,7 @@ def test_generic3_constraint_system():
     system = build_constraints(gam)
     assert len(system.rows) == 1
     row = system.rows[0]
-    assert row.coeffs == (1, 1, 1)
+    assert row.coeffs == ((0, 1), (1, 1), (2, 1))
     assert row.rel == "<=" and row.rhs == 1
     assert row.tag.startswith("asphericity")
 
@@ -227,9 +229,11 @@ def test_negative_weights_flagged():
 
 def test_solve_checks_its_weights_under_python_O():
     # the post-solve re-verification must not be an assert, which -O strips
+    # (solve checks the weights against the system it built, through
+    # _check_weights, the check behind verify)
     script = ("import arrlab.falk as falk\n"
               "from arrlab import builtin, gamma_of\n"
-              "falk.verify = lambda gamma, weights: "
+              "falk._check_weights = lambda system, weights: "
               "falk.VerifyReport(False, ())\n"
               "falk.solve(gamma_of(builtin('generic3')))\n")
     src = str(Path(arrlab.__file__).resolve().parent.parent)
@@ -247,7 +251,7 @@ def test_solve_generic3_zero():
     assert all(v == 0 for v in result.weights.values())
 
 
-def test_solve_infeasible_carries_checked_certificate():
+def test_solve_infeasible_carries_checked_certificate(monkeypatch):
     # a hand-made Gamma with no arrangement behind it: the triangle face 0
     # caps its corner weights at 1, and the one-edge cycle at vertex 0
     # (m = 2) asks for weight 2 on corner (0,0)
@@ -262,6 +266,11 @@ def test_solve_infeasible_carries_checked_certificate():
     assert [r.rel for r in result.lp.rows] == ["<=", ">="]
     assert result.lp_result.certificate == (1, 1)
     assert check_certificate(result.lp, result.lp_result)
+    # solve itself checks the certificate: a corrupted one raises
+    monkeypatch.setattr(falk, "solve_feasibility", lambda lp: replace(
+        solve_feasibility(lp), certificate=(F(0), F(1))))
+    with pytest.raises(RuntimeError, match="fails its check"):
+        solve(gam)
 
 
 def test_constraint_rows_deduplicated(gamma_lid):
@@ -283,7 +292,7 @@ def test_constraints_invariant_under_relabeling():
                   for r in build_constraints(gamma_of(arr)).rows}
         rows_b = {(r.coeffs, r.rel, r.rhs)
                   for r in build_constraints(gamma_of(shuffled)).rows}
-        # corner ids are deterministic from geometry, so the dense rows
+        # corner ids are deterministic from geometry, so the sparse rows
         # coincide row for row
         assert rows_a == rows_b
 
@@ -301,7 +310,7 @@ def test_symmetry_orbit_reduction():
     assert verify(gam, result.weights).ok
 
 
-def test_bad_symmetry_rejected(gamma_lid):
+def test_bad_symmetry_rejected(gamma_lid, lid_group):
     corners = gamma_lid.corners
     # swapping just two corners of one face does not preserve incidences
     perm = {c: c for c in corners}
@@ -309,10 +318,18 @@ def test_bad_symmetry_rejected(gamma_lid):
     perm[a], perm[b] = b, a
     with pytest.raises(SymmetryError):
         build_constraints(gamma_lid, symmetry=[perm])
+    # after the true group, and through solve, it is still rejected
+    with pytest.raises(SymmetryError, match="incidence"):
+        solve(gamma_lid, symmetry=lid_group + [perm])
     # a map that sends two corners to one is no permutation at all
     perm[a] = a
     with pytest.raises(SymmetryError, match="not a bijection"):
         build_constraints(gamma_lid, symmetry=[perm])
+    # nor is one that misses a corner or names a corner outside Gamma
+    for bad in ({c: c for c in corners[1:]},
+                {c: Corner(-1, -1) if c == a else c for c in corners}):
+        with pytest.raises(SymmetryError, match="not a bijection"):
+            build_constraints(gamma_lid, symmetry=[bad])
 
 
 def test_solve_verify_roundtrip_on_randoms():

@@ -23,17 +23,24 @@ from arrlab.lpcore import (
 
 from oracles import (
     DenseTableau,
+    dense_coeffs,
     dense_simplex_reference,
     essential_random_line_arrangement,
     fourier_motzkin_feasible,
     random_lp,
+    sparse_coeffs,
 )
 
 F = Fraction
 
+# sparse rows: (index, coeff) pairs
+X = ((0, 1),)
+X_PLUS_Y = ((0, 1), (1, 1))
+X_MINUS_Y = ((0, 1), (1, -1))
+
 
 def test_contradictory_bounds():
-    lp = StandardFormLP(1, (LPRow((1,), ">=", 2), LPRow((1,), "<=", 1)))
+    lp = StandardFormLP(1, (LPRow(X, ">=", 2), LPRow(X, "<=", 1)))
     res = solve_feasibility(lp)
     assert res.status == INFEASIBLE
     assert res.certificate == (F(1), F(1))
@@ -41,7 +48,7 @@ def test_contradictory_bounds():
 
 
 def test_simple_feasible_at_origin():
-    lp = StandardFormLP(2, (LPRow((1, 1), "<=", 1),))
+    lp = StandardFormLP(2, (LPRow(X_PLUS_Y, "<=", 1),))
     res = solve_feasibility(lp)
     assert res.status == FEASIBLE
     assert res.witness == (0, 0)
@@ -49,7 +56,7 @@ def test_simple_feasible_at_origin():
 
 
 def test_corrupted_witness_rejected():
-    lp = StandardFormLP(2, (LPRow((1, 1), "=", 1),))
+    lp = StandardFormLP(2, (LPRow(X_PLUS_Y, "=", 1),))
     res = solve_feasibility(lp)
     assert res.status == FEASIBLE
     bad = (res.witness[0] + 1,) + res.witness[1:]
@@ -61,25 +68,26 @@ def test_corrupted_witness_rejected():
 
 
 def test_corrupted_certificate_rejected():
-    lp = StandardFormLP(1, (LPRow((1,), ">=", 2), LPRow((1,), "<=", 1)))
+    lp = StandardFormLP(1, (LPRow(X, ">=", 2), LPRow(X, "<=", 1)))
     res = solve_feasibility(lp)
     assert not check_certificate(
         lp, replace(res, certificate=(F(-1), F(1))))
     assert not check_certificate(
         lp, replace(res, certificate=(F(0), F(0))))
     # one multiplier short: the first two rows alone are contradictory
-    lp = StandardFormLP(1, lp.rows + (LPRow((1,), ">=", 0),))
+    lp = StandardFormLP(1, lp.rows + (LPRow(X, ">=", 0),))
     res = solve_feasibility(lp)
     assert res.certificate == (F(1), F(1), F(0))
     assert not check_certificate(lp, replace(res, certificate=(F(1), F(1))))
     # -x <= 1 read as -x >= 1 would be contradictory
-    lp = StandardFormLP(1, (LPRow((-1,), "<=", 1),))
+    lp = StandardFormLP(1, (LPRow(((0, -1),), "<=", 1),))
     assert not check_certificate(
         lp, FeasibilityResult(INFEASIBLE, certificate=(F(-1),)))
 
 
 def test_phase2_minimization():
-    lp = StandardFormLP(2, (LPRow((1, 1), ">=", 4), LPRow((1, -1), "<=", 2)),
+    lp = StandardFormLP(2, (LPRow(X_PLUS_Y, ">=", 4),
+                            LPRow(X_MINUS_Y, "<=", 2)),
                         objective=(3, 1))
     res = solve_feasibility(lp)
     assert res.status == FEASIBLE
@@ -92,7 +100,7 @@ def test_phase2_minimization():
 
 
 def test_phase2_unbounded():
-    lp = StandardFormLP(1, (LPRow((1,), ">=", 1),), objective=(-1,))
+    lp = StandardFormLP(1, (LPRow(X, ">=", 1),), objective=(-1,))
     assert solve_feasibility(lp).status == UNBOUNDED
 
 
@@ -100,7 +108,7 @@ def test_phase2_drives_out_artificial_on_negative_entry():
     # phase 1 pivots x in for the surplus of -2x >= -1 (lower basis id on
     # a tied ratio), leaving the artificial of 2x >= 1 basic at 0 on the
     # row -s1 - s2; phase 2 drives it out on the negative entry of s1
-    lp = StandardFormLP(1, (LPRow((2,), "=", 1),), objective=(2,))
+    lp = StandardFormLP(1, (LPRow(((0, 2),), "=", 1),), objective=(2,))
     res = solve_feasibility(lp)
     assert res == FeasibilityResult(FEASIBLE, witness=(F(1, 2),),
                                     objective_value=1)
@@ -109,7 +117,7 @@ def test_phase2_drives_out_artificial_on_negative_entry():
 
 
 def test_equality_rows():
-    lp = StandardFormLP(2, (LPRow((1, 1), "=", 3), LPRow((1, -1), "=", 1)))
+    lp = StandardFormLP(2, (LPRow(X_PLUS_Y, "=", 3), LPRow(X_MINUS_Y, "=", 1)))
     res = solve_feasibility(lp)
     assert res.status == FEASIBLE
     assert res.witness == (2, 1)
@@ -117,17 +125,17 @@ def test_equality_rows():
 
 def test_duplicate_rows_rejected():
     with pytest.raises(ValueError):
-        StandardFormLP(1, (LPRow((1,), ">=", 1), LPRow((1,), ">=", 1)))
+        StandardFormLP(1, (LPRow(X, ">=", 1), LPRow(X, ">=", 1)))
     # tags name rows for reports; they do not make rows distinct
     with pytest.raises(ValueError):
-        StandardFormLP(1, (LPRow((1,), ">=", 1, "a"),
-                           LPRow((1,), ">=", 1, "b")))
+        StandardFormLP(1, (LPRow(X, ">=", 1, "a"),
+                           LPRow(X, ">=", 1, "b")))
 
 
 @pytest.mark.parametrize("rows, objective", [
-    ((LPRow((0.5,), ">=", 1),), None),
-    ((LPRow((1,), ">=", 0.5),), None),
-    ((LPRow((1,), ">=", 1),), (0.5,)),
+    ((LPRow(((0, 0.5),), ">=", 1),), None),
+    ((LPRow(X, ">=", 0.5),), None),
+    ((LPRow(X, ">=", 1),), (0.5,)),
 ], ids=["coefficient", "rhs", "objective"])
 def test_inexact_data_rejected(rows, objective):
     with pytest.raises(TypeError):
@@ -136,12 +144,29 @@ def test_inexact_data_rejected(rows, objective):
 
 def test_bad_relation_rejected():
     with pytest.raises(ValueError, match="bad relation"):
-        LPRow((1,), "<", 0)
+        LPRow(X, "<", 0)
 
 
-def test_row_length_checked():
+def test_row_index_out_of_range_rejected():
+    with pytest.raises(ValueError, match="variable count"):
+        StandardFormLP(2, (LPRow(((2, 1),), ">=", 1),))
+    with pytest.raises(ValueError, match="variable count"):
+        StandardFormLP(2, (LPRow(((-1, 1),), ">=", 1),))
+    StandardFormLP(2, (LPRow(((1, 1),), ">=", 1),))
+
+
+@pytest.mark.parametrize("pairs", [
+    ((1, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (1, 0))],
+    ids=["unsorted", "repeated", "zero"])
+def test_noncanonical_pairs_rejected(pairs):
+    # one form per row, so equal rows are equal tuples
     with pytest.raises(ValueError):
-        StandardFormLP(2, (LPRow((1,), ">=", 1),))
+        StandardFormLP(2, (LPRow(pairs, ">=", 1),))
+
+
+def test_objective_length_checked():
+    with pytest.raises(ValueError, match="objective length"):
+        StandardFormLP(2, (LPRow(X, ">=", 1),), objective=(1,))
 
 
 def test_empty_system_feasible():
@@ -189,7 +214,7 @@ def test_fuzz_against_fourier_motzkin():
 
 def test_rational_data_survives():
     lp = StandardFormLP(
-        1, (LPRow((F(2, 3),), ">=", F(1, 7)),), objective=(1,))
+        1, (LPRow(((0, F(2, 3)),), ">=", F(1, 7)),), objective=(1,))
     res = solve_feasibility(lp)
     assert res.status == FEASIBLE
     assert res.witness == (F(3, 14),)
@@ -245,7 +270,8 @@ def test_falk_rows_are_tagged_lprows(gamma_lid):
     rows = build_constraints(gamma_lid).rows
     assert len(rows) == 341
     assert all(type(r) is LPRow for r in rows)
-    assert all(type(c) is int for r in rows for c in r.coeffs)
+    assert all(type(j) is int and type(c) is int
+               for r in rows for j, c in r.coeffs)
     tags = "".join(r.tag + "\n" for r in rows)
     assert hashlib.sha256(tags.encode()).hexdigest() == LID_TAGS_SHA256
 
@@ -279,9 +305,10 @@ def test_random_lp_results_digest():
 def _fraction_lp(rng):
     """A seeded random LP whose coefficients and rhs values are Fractions
     with mixed denominators (rows that coincide after scaling are kept
-    once)."""
+    once).  One denominator is drawn per dense entry, zeros included."""
     lp = random_lp(rng)
-    rows = (LPRow(tuple(F(c, rng.randint(1, 6)) for c in row.coeffs),
+    rows = (LPRow(sparse_coeffs(F(c, rng.randint(1, 6)) for c in
+                                dense_coeffs(row.coeffs, lp.nvars)),
                   row.rel, F(row.rhs, rng.randint(1, 6)))
             for row in lp.rows)
     return StandardFormLP(lp.nvars, tuple(dict.fromkeys(rows)))
