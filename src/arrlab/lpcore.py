@@ -359,7 +359,7 @@ def check_certificate(lp: StandardFormLP, result: FeasibilityResult) -> bool:
         u = result.certificate
         if u is None or len(u) != len(lp.rows):
             return False
-        combined = [0] * lp.nvars
+        combined = [Fraction(0)] * lp.nvars
         rhs = Fraction(0)
         for mult, row in zip(u, lp.rows):
             if row.rel == GE:
