@@ -6,10 +6,11 @@ subset alternating sum, factorizations by trying every assignment, LP
 feasibility by Fourier-Motzkin elimination, circuit multiplicities by
 literally walking the circuit, chamber wall counts by sign-vector
 enumeration, SVG decimals by a digit loop over Fractions, LP results by
-the dense Fraction simplex tableau (dense rows live only here, built by
-``dense_coeffs``), ranks by Gaussian elimination and
+the dense Fraction simplex tableau, ranks by Gaussian elimination and
 angular order by cross products, symmetries of the bounded complex by
-line permutations and by point maps of the plane.  It also holds the
+line permutations and by point maps of the plane.  Dense constraint rows
+exist only here, built from the library's sparse rows by
+``dense_coeffs``.  It also holds the
 seeded input generators and the small helpers only tests call: the three-way
 comparison, the Galois conjugate, circuit weight sums and the degree and
 value of an integer polynomial.
