@@ -180,7 +180,7 @@ def build_constraints(gamma: BoundedComplex, *, equality_asphericity=False,
                 f"{ADMISSIBILITY} vertex {c.vertex} type ({c.ctype}) "
                 f"component {c.component} start {c.start}"))
     # dict keys keep the first of equal rows, with its tag
-    system = ConstraintSystem(corners, tuple((c,) for c in corners),
+    system = ConstraintSystem(tuple(corners), tuple((c,) for c in corners),
                               tuple(dict.fromkeys(rows)))
     return _orbit_system(system, symmetry) if symmetry else system
 
