@@ -162,17 +162,13 @@ GOLDEN_DIGESTS = {
 }
 
 
-def run_case(case, name, tmp_path, capsys):
-    if name in BUILTINS:
-        ref = "@" + name
-    else:
-        ref = str(tmp_path / f"{name}.txt")
-        with open(ref, "w", encoding="utf-8") as fh:
-            fh.write(serialize_arrangement(_seeded_inputs()[name]))
+def run_commands(commands, ref, tmp_path, capsys):
+    """SHA-256 over each command's exit code and stdout, then the files
+    written to {out}."""
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     digest = hashlib.sha256()
-    for argv in CASES[case]:
+    for argv in commands:
         code = main([a.format(ref=ref, out=out_dir) for a in argv])
         stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
         digest.update(f"exit {code}\n{stdout}".encode("utf-8"))
@@ -180,6 +176,20 @@ def run_case(case, name, tmp_path, capsys):
         digest.update(f"file {path.name}\n".encode("utf-8"))
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def _write_input(arr, name, tmp_path):
+    ref = tmp_path / f"{name}.txt"
+    ref.write_text(serialize_arrangement(arr), encoding="utf-8")
+    return str(ref)
+
+
+def run_case(case, name, tmp_path, capsys):
+    if name in BUILTINS:
+        ref = "@" + name
+    else:
+        ref = _write_input(_seeded_inputs()[name], name, tmp_path)
+    return run_commands(CASES[case], ref, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -242,10 +252,52 @@ LARGE_CONSTRAINT_DIGESTS = {
 
 @pytest.mark.parametrize("name", LARGE_CONSTRAINT_DIGESTS)
 def test_large_constraint_output(name, tmp_path, capsys):
-    ref = tmp_path / f"{name}.txt"
-    ref.write_text(serialize_arrangement(_large_inputs()[name]),
-                   encoding="utf-8")
-    assert main(["falk", "constraints", str(ref)]) == 0
+    ref = _write_input(_large_inputs()[name], name, tmp_path)
+    assert main(["falk", "constraints", ref]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         LARGE_CONSTRAINT_DIGESTS[name]
+
+
+
+def _large_golden_inputs():
+    golden = _large_inputs()["golden24"]
+    return {"golden24": golden, "goldencone24": cone(golden)}
+
+
+# the geometry commands on the seeded 24-line Q(sqrt5) input and its cone:
+# the crossing order, the cell complex and the SVG decimals of a large
+# golden input
+LARGE_GOLDEN_CASES = {
+    "poset": ["poset", "{ref}", "--mobius"],
+    "factor": ["factor", "{ref}"],
+    "gamma": ["gamma", "{ref}"],
+    "render": ["render", "{ref}", "-o", "{out}/a.svg", "--gamma"],
+}
+
+LARGE_GOLDEN_DIGESTS = {
+    "poset/golden24":
+        "9c7a329ef46f382f12f06f23f403037c70001fc12048b7e04a74fb1495a6dd1d",
+    "factor/golden24":
+        "d474a9d5ce5cb635ada58d371941897e2bf5ba23b802b10f5b8f1b2b3795f99c",
+    "gamma/golden24":
+        "57811b40a24712f20d85794fbe9e487c970898124d68ac6ae315b5cc8fbaf2ea",
+    "render/golden24":
+        "e355bd6529e87eedfc5b0a9f8af7b7ad5c7fabfa043c520a7e9962397ff38181",
+    "poset/goldencone24":
+        "a0691bee322e353b420fcc22d00d3f8221b2516bc8265f537beeac0cc3529a26",
+    "factor/goldencone24":
+        "d3f0447fbc5787a79409b69e2b807820f88d7ca956193244338f924cf7556d91",
+    "gamma/goldencone24":
+        "1e8e6ce0b628ffeba7fe54122cae01f5e7552f983f9e4e2eb1e3c6127f5168aa",
+    "render/goldencone24":
+        "cd950eab7d8bbf4371cc3587a8f54d6220600be23fbb8276428672203c1a0a55",
+}
+
+
+@pytest.mark.parametrize("name", ("golden24", "goldencone24"))
+@pytest.mark.parametrize("case", LARGE_GOLDEN_CASES)
+def test_large_golden_output(case, name, tmp_path, capsys):
+    ref = _write_input(_large_golden_inputs()[name], name, tmp_path)
+    assert run_commands([LARGE_GOLDEN_CASES[case]], ref, tmp_path,
+                        capsys) == LARGE_GOLDEN_DIGESTS[f"{case}/{name}"]
