@@ -139,17 +139,20 @@ def build_complex(arr: LineArrangement) -> CellComplex:
     vertices = [Vertex(vid, p, lines)
                 for vid, (p, lines) in enumerate(points.items())]
 
-    # order the vertices of each line along its direction (-b, a): by y
-    # on a steep line (a = 1), by -x on a horizontal one (a = 0, b = 1)
+    # order the vertices of each line along its direction (-b, a).  Vertex
+    # ids follow the lexicographic (x, y) order of the points, so each list
+    # below is in ascending (x, y) order.  On a steep line (a = 1) the
+    # direction is (-b, 1): x = c - b*y falls as y grows when b > 0, rises
+    # when b < 0, and when b = 0 (vertical) the order is by y alone, so
+    # ascending ids run along the direction unless b > 0.  On a horizontal
+    # line (a = 0, b = 1) the direction is (-1, 0), against ascending x.
     on_line = {i: [] for i in range(n)}
     for v in vertices:
         for i in v.lines:
             on_line[i].append(v.id)
     for i in range(n):
-        if arr.lines[i].a != 0:
-            on_line[i].sort(key=lambda vid: vertices[vid].point[1])
-        else:
-            on_line[i].sort(key=lambda vid: -vertices[vid].point[0])
+        if arr.lines[i].a == 0 or arr.lines[i].b > 0:
+            on_line[i].reverse()
 
     edges = []
     germ_keys = {v.id: [] for v in vertices}  # (sort key, edge id)

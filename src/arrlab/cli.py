@@ -3,7 +3,8 @@
 Subcommands: analyze, poset, gamma, factor, falk {constraints,solve,verify},
 render.  Arrangement references are file paths or builtins like
 ``@icosidodecahedral``.  Exit codes: 0 success / verification PASS,
-1 verification FAIL or infeasible system, 2 usage, parse or I/O errors.
+1 verification FAIL or infeasible system, 2 usage, parse or I/O errors,
+3 internal error (a failed re-check of the program's own result).
 """
 
 from __future__ import annotations
@@ -382,6 +383,11 @@ def main(argv=None) -> int:
         except (CliError, ArrangementError, ScalarError, WeightError) as exc:
             print(f"arrlab: error: {exc}", file=sys.stderr)
             return 2
+        except RuntimeError as exc:
+            # a failed internal re-check: a fault of the program, not of
+            # the input
+            print(f"arrlab: internal error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

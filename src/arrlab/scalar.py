@@ -6,11 +6,16 @@ are supported:
 * ``rational`` -- plain rationals, represented by :class:`fractions.Fraction`
   (always in lowest terms, positive denominator).
 * ``golden`` -- the real quadratic field Q(sqrt5), represented by
-  :class:`GoldenScalar` as ``a + b*sqrt(5)`` with rational ``a``, ``b``.
+  :class:`GoldenScalar` as ``(p + q*sqrt(5))/d`` with ints ``p``, ``q``,
+  ``d``, kept canonical (``d > 0``, ``gcd(p, q, d) == 1``); its rational
+  parts ``a = p/d`` and ``b = q/d`` are read as Fractions.
 
-Signs and comparisons are decided purely by rational arithmetic (for
-``a + b*sqrt5`` by comparing ``a*a`` against ``5*b*b`` with a case split on
-the signs of ``a`` and ``b``); no floating point enters any correctness path.
+Field operations work on the three ints alone, with one gcd per result.
+Signs and comparisons are decided by integer arithmetic: the sign of
+``(p + q*sqrt5)/d`` is that of ``p + q*sqrt5``, found by comparing ``p*p``
+against ``5*q*q`` with a case split on the signs of ``p`` and ``q``, and two
+values compare through their cross-multiplied difference.  No floating
+point enters any correctness path.
 
 Scalar text syntax, shared by every file format of the package: a rational is
 ``p/q`` or ``p`` in ASCII digits; a golden scalar is ``p/q`` or ``p/q~r/s``,
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 RATIONAL = "rational"
 GOLDEN = "golden"
@@ -41,8 +47,8 @@ def sign(x) -> int:
     return 0
 
 
-def _sign_of_pair(a: Fraction, b: Fraction) -> int:
-    # sign of a + b*sqrt(5)
+def _sign_of_pair(a, b) -> int:
+    # sign of a + b*sqrt(5), for ints a and b
     sa = 1 if a > 0 else (-1 if a < 0 else 0)
     sb = 1 if b > 0 else (-1 if b < 0 else 0)
     if sb == 0:
@@ -58,91 +64,139 @@ def _sign_of_pair(a: Fraction, b: Fraction) -> int:
     return sa if lhs > rhs else sb
 
 
+def _golden(p: int, q: int, d: int) -> GoldenScalar:
+    """(p + q*sqrt5)/d in canonical form, for ints with d > 0."""
+    if d != 1:
+        g = gcd(p, q, d)
+        if g != 1:
+            p //= g
+            q //= g
+            d //= g
+    x = object.__new__(GoldenScalar)
+    x._p = p
+    x._q = q
+    x._d = d
+    return x
+
+
+def _parts(x):
+    """(p, q, d) of a golden scalar, int or Fraction; None for other types."""
+    if type(x) is GoldenScalar:
+        return x._p, x._q, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
 class GoldenScalar:
     """An element ``a + b*sqrt(5)`` of Q(sqrt5).
 
-    The pair (a, b) determines the value uniquely since sqrt(5) is irrational.
-    Instances are immutable after construction; arithmetic accepts ints and
-    Fractions, which embed with b = 0.  The total order agrees with the order
-    of the real numbers.
+    Stored as three ints ``(p, q, d)`` meaning ``(p + q*sqrt5)/d``, kept
+    canonical: ``d > 0`` and ``gcd(p, q, d) == 1``.  Since sqrt(5) is
+    irrational, equal values have equal triples.  The rational parts
+    ``a = p/d`` and ``b = q/d`` are read-only Fractions.  Instances are
+    never changed after construction; arithmetic accepts ints and
+    Fractions, which embed with b = 0, and works on ints only.  The total
+    order agrees with the order of the real numbers.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a=0, b=0):
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
+        a = a if isinstance(a, Fraction) else Fraction(a)
+        b = b if isinstance(b, Fraction) else Fraction(b)
+        # over the lcm of the two denominators the triple is already
+        # canonical: a prime of d divides one of them to the full power,
+        # so it misses the matching numerator and its cofactor
+        ad, bd = a.denominator, b.denominator
+        d = ad * bd // gcd(ad, bd)
+        self._p = a.numerator * (d // ad)
+        self._q = b.numerator * (d // bd)
+        self._d = d
 
-    @classmethod
-    def _lift(cls, x):
-        if isinstance(x, GoldenScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x, 0)
-        return None
+    @property
+    def a(self) -> Fraction:
+        """The rational part p/d."""
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient q/d of sqrt(5)."""
+        return Fraction(self._q, self._d)
 
     # -- ring/field operations ------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GoldenScalar(self.a + o.a, self.b + o.b)
+        p, q, d = o
+        if d == self._d:
+            return _golden(self._p + p, self._q + q, d)
+        return _golden(self._p * d + p * self._d, self._q * d + q * self._d,
+                       self._d * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GoldenScalar(-self.a, -self.b)
+        return _golden(-self._p, -self._q, self._d)
 
     def __pos__(self):
         return self
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GoldenScalar(self.a - o.a, self.b - o.b)
+        p, q, d = o
+        if d == self._d:
+            return _golden(self._p - p, self._q - q, d)
+        return _golden(self._p * d - p * self._d, self._q * d - q * self._d,
+                       self._d * d)
 
     def __rsub__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GoldenScalar(o.a - self.a, o.b - self.b)
+        p, q, d = o
+        return _golden(p * self._d - self._p * d, q * self._d - self._q * d,
+                       self._d * d)
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        # (a + b s)(c + d s) = (ac + 5bd) + (ad + bc) s   with s^2 = 5
-        return GoldenScalar(self.a * o.a + 5 * self.b * o.b,
-                            self.a * o.b + self.b * o.a)
+        p, q, d = o
+        # (p + q s)(p' + q' s) = (pp' + 5qq') + (pq' + qp') s   with s^2 = 5
+        return _golden(self._p * p + 5 * self._q * q,
+                       self._p * q + self._q * p, self._d * d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> GoldenScalar:
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt5)")
-        return GoldenScalar(self.a / n, -self.b / n)
+        # d / (p + q s) = d (p - q s) / (p^2 - 5 q^2)
+        return _quotient((1, 0, 1), (self._p, self._q, self._d))
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _quotient((self._p, self._q, self._d), o)
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _quotient(o, (self._p, self._q, self._d))
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = GoldenScalar(1, 0)
+        out = _golden(1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -153,51 +207,56 @@ class GoldenScalar:
 
     def norm(self) -> Fraction:
         """Field norm a^2 - 5 b^2 (a rational)."""
-        return self.a * self.a - 5 * self.b * self.b
+        return Fraction(self._p * self._p - 5 * self._q * self._q,
+                        self._d * self._d)
 
     # -- order -----------------------------------------------------------
 
     def sign(self) -> int:
-        return _sign_of_pair(self.a, self.b)
+        return _sign_of_pair(self._p, self._q)
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self._p) or bool(self._q)
 
     def __eq__(self, other):
-        o = self._lift(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return (self._p, self._q, self._d) == o
 
     def __hash__(self):
+        if self._q:
+            return hash((self._p, self._q, self._d))
         # must agree with Fraction's hash when the value is rational
-        if not self.b:
-            return hash(self.a)
-        return hash((self.a, self.b, "sqrt5"))
+        return hash(self._p if self._d == 1 else Fraction(self._p, self._d))
+
+    def _cmp(self, other):
+        # the sign of self - other, from the cross-multiplied difference;
+        # None for an operand of another type
+        o = _parts(other)
+        if o is None:
+            return None
+        p, q, d = o
+        if d == self._d:
+            return _sign_of_pair(self._p - p, self._q - q)
+        return _sign_of_pair(self._p * d - p * self._d,
+                             self._q * d - q * self._d)
 
     def __lt__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _sign_of_pair(self.a - o.a, self.b - o.b) < 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _sign_of_pair(self.a - o.a, self.b - o.b) <= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _sign_of_pair(self.a - o.a, self.b - o.b) > 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _sign_of_pair(self.a - o.a, self.b - o.b) >= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -207,6 +266,23 @@ class GoldenScalar:
 
     def __str__(self):
         return format_scalar(self)
+
+
+def _quotient(x, y) -> GoldenScalar:
+    """x / y for (p, q, d) triples x and y."""
+    p, q, d = x
+    yp, yq, yd = y
+    # (p + q s)/d / ((yp + yq s)/yd)
+    #   = yd (p + q s)(yp - yq s) / (d (yp^2 - 5 yq^2))
+    n = yp * yp - 5 * yq * yq
+    if n == 0:
+        raise ZeroDivisionError("division by zero in Q(sqrt5)")
+    num_p = yd * (p * yp - 5 * q * yq)
+    num_q = yd * (q * yp - p * yq)
+    den = d * n
+    if den < 0:
+        return _golden(-num_p, -num_q, -den)
+    return _golden(num_p, num_q, den)
 
 
 #: sqrt(5) and the golden ratio (1 + sqrt5)/2.

@@ -19,14 +19,17 @@ from .cells import build_complex, bounded_complex
 from .falk import check_corners
 from .scalar import GoldenScalar, sign
 
+# sqrt5 ~ _SQRT5_NUM / _SQRT5_SCALE, rounded down to 40 decimals
 _SQRT5_SCALE = 10 ** 40
-_SQRT5_APPROX = Fraction(isqrt(5 * _SQRT5_SCALE ** 2), _SQRT5_SCALE)
+_SQRT5_NUM = isqrt(5 * _SQRT5_SCALE ** 2)
 _DIGITS = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
 def _to_fraction(x) -> Fraction:
     if isinstance(x, GoldenScalar):
-        return x.a + x.b * _SQRT5_APPROX
+        # (p + q*sqrt5)/d with sqrt5 ~ N/S is (p*S + q*N) / (d*S)
+        return Fraction(x._p * _SQRT5_SCALE + x._q * _SQRT5_NUM,
+                        x._d * _SQRT5_SCALE)
     return Fraction(x)
 
 

@@ -7,7 +7,8 @@ feasibility by Fourier-Motzkin elimination, circuit multiplicities by
 literally walking the circuit, chamber wall counts by sign-vector
 enumeration, SVG decimals by a digit loop over Fractions, LP results by
 the dense Fraction simplex tableau, ranks by Gaussian elimination and
-angular order by cross products, symmetries of the bounded complex by
+angular order by cross products, the vertices along each line by sorting
+on dot products, symmetries of the bounded complex by
 line permutations and by point maps of the plane.  Dense constraint rows
 exist only here, built from the library's sparse rows by
 ``dense_coeffs``.  It also holds the
@@ -119,6 +120,21 @@ def direction_cmp(d1, d2) -> int:
         return -1 if h1 < h2 else 1
     cross = d1[0] * d2[1] - d1[1] * d2[0]
     return -sign(cross)
+
+
+def line_orders_by_sort(arr: LineArrangement) -> dict:
+    """{line index: ids of the crossing points on it, sorted along the
+    line's direction (-b, a) by the dot product}; a point's id is its
+    position in intersection_points(arr), as for the cell complex's
+    vertices."""
+    points = list(intersection_points(arr).items())
+    orders = {}
+    for i, ln in enumerate(arr.lines):
+        dx, dy = ln.direction()
+        orders[i] = sorted(
+            (vid for vid, (_, lines) in enumerate(points) if i in lines),
+            key=lambda vid: points[vid][0][0] * dx + points[vid][0][1] * dy)
+    return orders
 
 
 def whitney_poincare(arr) -> IntPolynomial:

@@ -36,6 +36,7 @@ from oracles import (
     direction_cmp,
     essential_random_line_arrangement,
     golden_line_arrangement,
+    line_orders_by_sort,
     poly_value,
 )
 
@@ -301,6 +302,7 @@ def check_order_against_cross_products(cx):
     """The vertices along each line and the germs around each vertex come
     in the order that dot and cross products give."""
     lines_ = cx.arrangement.lines
+    sorted_orders = line_orders_by_sort(cx.arrangement)
     leaving = {v.id: [] for v in cx.vertices}  # (edge id, direction)
     for i, ln in enumerate(lines_):
         d = ln.direction()
@@ -310,12 +312,11 @@ def check_order_against_cross_products(cx):
             len(own) - 2) + ["ray"]
         vids = [own[0].v0] + [e.v1 for e in own[1:-1]]
         assert [e.v0 for e in own[1:]] == vids
+        assert vids == sorted_orders[i]
 
         def along(vid):
             x, y = cx.vertices[vid].point
             return x * d[0] + y * d[1]
-        on_line = [v.id for v in cx.vertices if i in v.lines]
-        assert vids == sorted(on_line, key=along)
         assert all(sign(along(u) - along(w)) < 0
                    for u, w in zip(vids, vids[1:]))
         leaving[vids[0]].append((own[0].id, (-d[0], -d[1])))
@@ -338,11 +339,17 @@ def test_germ_and_line_order_match_cross_product_oracle(lid_complex):
             n = rng.randint(3, 8)
             arr = (essential_random_line_arrangement(rng, n, coeff_range=2)
                    if field == "rational" else golden_line_arrangement(rng, n))
-            seen[field, "horizontal"] += any(ln.a == 0 for ln in arr.lines)
-            seen[field, "vertical"] += any(ln.b == 0 for ln in arr.lines)
+            # count only lines that carry at least two vertices
+            busy = [ln for ln, on in zip(arr.lines,
+                                         line_orders_by_sort(arr).values())
+                    if len(on) >= 2]
+            seen[field, "horizontal"] += any(ln.a == 0 for ln in busy)
+            seen[field, "vertical"] += any(ln.b == 0 for ln in busy)
+            seen[field, "descending"] += any(
+                ln.a != 0 and ln.b > 0 for ln in busy)
             seen[field, "parallel"] += any(
                 p.is_parallel(q) for k, p in enumerate(arr.lines)
                 for q in arr.lines[k + 1:])
             check_order_against_cross_products(build_complex(arr))
-    # every field brings horizontal, vertical and parallel lines
-    assert len(seen) == 6 and all(seen.values())
+    # every field brings horizontal, vertical, b > 0 and parallel lines
+    assert len(seen) == 8 and all(seen.values())

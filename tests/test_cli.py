@@ -268,10 +268,12 @@ def test_falk_solve_checks_farkas_certificate(monkeypatch, capsys):
     corrupted = FeasibilityResult(INFEASIBLE, certificate=(Fraction(0),))
     monkeypatch.setattr("arrlab.falk.solve_feasibility",
                         lambda lp: corrupted)
+    # a failed re-check is a program fault: exit 3 and one stderr line
     for argv in (["falk", "solve", "@generic3"], ["analyze", "@generic3"]):
-        with pytest.raises(RuntimeError, match="fails its check"):
-            main(argv)
-        assert capsys.readouterr().out == ""
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == ("arrlab: internal error: solver returned a witness "
+                       "or Farkas certificate that fails its check\n")
 
 
 def test_falk_verify_fail_exit_code(tmp_path, capsys):

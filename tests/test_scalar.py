@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arrlab.scalar
 from arrlab.scalar import (
     GOLDEN,
     GoldenScalar,
@@ -220,3 +222,70 @@ def test_format_parse_round_trip(x):
 @given(fractions_st)
 def test_format_parse_round_trip_rational(x):
     assert parse_scalar(format_scalar(x), RATIONAL) == x
+
+
+# -- the (p, q, d) representation --------------------------------------
+
+def assert_canonical(x):
+    """(p + q sqrt5)/d with d > 0 and gcd(p, q, d) = 1, over ints."""
+    assert type(x) is GoldenScalar
+    p, q, d = x._p, x._q, x._d
+    assert type(p) is type(q) is type(d) is int
+    assert d > 0 and math.gcd(p, q, d) == 1
+
+
+operands_st = st.one_of(golden_st, fractions_st,
+                        st.integers(min_value=-50, max_value=50))
+
+
+@given(golden_st, operands_st)
+def test_every_operation_leaves_canonical_triples(x, y):
+    assert_canonical(x)
+    results = [x + y, y + x, x - y, y - x, x * y, y * x, -x, +x, abs(x),
+               x ** 2, x ** 0]
+    if x:
+        results += [x.inverse(), y / x, x ** -2]
+    if y:
+        results.append(x / y)
+    for r in results:
+        assert_canonical(r)
+
+
+def test_equal_values_by_different_paths_are_equal_and_hash_equal():
+    half = SQRT5 * SQRT5 / 10
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert hash(half) == hash(Fraction(1, 2))
+    assert (half._p, half._q, half._d) == (1, 0, 2)
+    one = PHI * PHI - PHI
+    assert one == 1 and hash(one) == hash(1) == hash(Fraction(1))
+    # phi = (1 + sqrt5)/2 reached three ways
+    ways = [PHI, (SQRT5 + 1) / 2, GoldenScalar(Fraction(3, 6), Fraction(2, 4)),
+            1 / (PHI - 1), (PHI * 6 - 3) / 6 + Fraction(1, 2)]
+    assert len(set(ways)) == 1
+    assert {(w._p, w._q, w._d) for w in ways} == {(1, 1, 2)}
+    assert len({hash(w) for w in ways}) == 1
+
+
+@given(golden_st)
+def test_parts_round_trip(x):
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    y = GoldenScalar(x.a, x.b)
+    assert y == x and hash(y) == hash(x)
+    assert (y._p, y._q, y._d) == (x._p, x._q, x._d)
+    assert x.a + x.b * SQRT5 == x
+
+
+def test_parts_are_read_only():
+    for name in ("a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(PHI, name, Fraction(1))
+    assert PHI.a == PHI.b == Fraction(1, 2)
+
+
+def test_irrational_hash_builds_no_fraction(monkeypatch):
+    expected = {x: hash(x) for x in (PHI, SQRT5, PHI / 7)}
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+    monkeypatch.setattr(arrlab.scalar, "Fraction", no_fraction)
+    assert {x: hash(x) for x in expected} == expected

@@ -1,6 +1,7 @@
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from math import isqrt
 
 from arrlab.arrangement import LineArrangement
 from arrlab.cells import build_complex
@@ -41,6 +42,13 @@ def _samples(rng):
         yield GoldenScalar(_rational(rng, rng.randint(1, 12)),
                            _rational(rng, rng.randint(1, 12)))
     yield GoldenScalar(0, 0)
+
+
+def test_golden_to_fraction_is_a_plus_b_times_sqrt5_approximation():
+    sqrt5 = Fraction(isqrt(5 * 10 ** 80), 10 ** 40)
+    for x in _samples(random.Random(7)):
+        if isinstance(x, GoldenScalar):
+            assert _to_fraction(x) == x.a + x.b * sqrt5
 
 
 def test_decimal_str_matches_digit_loop():
