@@ -355,3 +355,27 @@ def test_sparse_rows_are_primitive_scalings_of_the_dense_rows():
         assert math.gcd(tab.red_scale, *tab.red.values()) == 1
         assert [F(tab.red.get(j, 0), tab.red_scale)
                 for j in range(tab.ncols)] == dense.red
+
+
+def _census_shape_digest():
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    for _ in range(20):
+        arr = essential_random_line_arrangement(rng, 9, coeff_range=6)
+        gamma = bounded_complex(build_complex(arr))
+        for minimize_total in (False, True):
+            res = solve(gamma, minimize_total=minimize_total).lp_result
+            digest.update(f"{res.pivots} {_result_line(res)}".encode())
+    return digest.hexdigest()
+
+
+# SHA-256 of the weight LP results, pivot counts included, of 20 seeded
+# 9-line rational arrangements with coefficients in [-6, 6] (the shape of
+# the census benchmark inputs), each solved as is and with its total
+# weight minimized
+CENSUS_SHAPE_RESULTS_SHA256 = \
+    "15176320d794360745411f8d47d187f18ad8c61d66fe7b02a66d52efc9f893bf"
+
+
+def test_census_shape_results_digest():
+    assert _census_shape_digest() == CENSUS_SHAPE_RESULTS_SHA256
