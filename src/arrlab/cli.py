@@ -107,26 +107,34 @@ def _polygon_name(k: int) -> str:
     return names.get(k, f"{k}-gon")
 
 
+# the fields of a central report that need the deconed section
+_SECTION_FIELDS = ("simplicial", "decone_plane", "pi_decone", "factored",
+                   "gamma_vertices", "gamma_edges", "gamma_faces",
+                   "gamma_corners", "face_census", "link_census", "falk")
+
+
+def _print_report(report, out) -> int:
+    for key, value in report:
+        print(f"{key}: {value}", file=out)
+    return 0
+
+
 def cmd_analyze(args, out) -> int:
     arr = load_arrangement(args.arrangement)
     central = isinstance(arr, CentralArrangement)
+    if central and arr.rank() < 3:
+        # no plane section: report pi of arr itself, n/a for the rest
+        pi = poincare_polynomial(arr)
+        return _print_report(
+            _analyze_head(args, arr, pi)
+            + [(key, "n/a") for key in _SECTION_FIELDS], out)
     section = as_line_arrangement(arr)
     cx = build_complex(section)
     # pi(cA, t) = (1 + t) pi(A, t) (Orlik-Terao, Prop. 2.51): one poset,
     # the section's, gives the polynomials of both the cone and the section
     pi_section = poincare_polynomial(section)
     pi_cone = IntPolynomial((1, 1)) * pi_section
-    pi = pi_cone if central else pi_section
-    split = splits_over_integers(pi)
-    report = [
-        ("input", args.arrangement),
-        ("kind", "central" if central else "line"),
-        ("field", arr.field),
-        ("hyperplanes", str(len(arr))),
-        ("pi", str(pi)),
-        ("integer_split", "none" if split is None
-         else "{" + ",".join(map(str, split)) + "}"),
-    ]
+    report = _analyze_head(args, arr, pi_cone if central else pi_section)
     if central:
         simp, witness = is_simplicial(cx)
         report.append(("simplicial", "true" if simp else "false"))
@@ -157,9 +165,22 @@ def cmd_analyze(args, out) -> int:
                             for k in sorted(lc)) or "-"))
     result = solve(gam, symmetry=corner_automorphisms(gam))
     report.append(("falk", result.status.upper()))
-    for key, value in report:
-        print(f"{key}: {value}", file=out)
-    return 0
+    return _print_report(report, out)
+
+
+def _analyze_head(args, arr, pi):
+    """The report fields every input has: what it is and its pi."""
+    split = splits_over_integers(pi)
+    return [
+        ("input", args.arrangement),
+        ("kind", "central" if isinstance(arr, CentralArrangement)
+         else "line"),
+        ("field", arr.field),
+        ("hyperplanes", str(len(arr))),
+        ("pi", str(pi)),
+        ("integer_split", "none" if split is None
+         else "{" + ",".join(map(str, split)) + "}"),
+    ]
 
 
 def cmd_poset(args, out) -> int:

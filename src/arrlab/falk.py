@@ -50,7 +50,7 @@ from fractions import Fraction
 
 from .cells import BoundedComplex, CYCLE, Corner, Link
 from .lpcore import (EQ, FEASIBLE, GE, LE, LPRow, StandardFormLP,
-                     check_certificate, solve_feasibility)
+                     check_certificate, solve_feasibility, violated_rows)
 
 TYPE_I = "i"
 TYPE_II = "ii"
@@ -302,15 +302,14 @@ def verify(gamma: BoundedComplex, weights) -> VerifyReport:
 
 def _check_weights(system, weights) -> VerifyReport:
     """The nonnegativity conditions and the rows of the unreduced
-    ``system`` that ``weights``, total on its corners, violate."""
+    ``system`` that ``weights``, total on its corners, violate (checked
+    in ints by ``violated_rows``)."""
     x = [Fraction(weights[c]) for c in system.variables]
     violations = [Violation(f"{NONNEGATIVITY} corner ({c.vertex},{c.face})",
                             v, GE, 0)
                   for c, v in zip(system.variables, x) if v < 0]
-    for row in system.rows:
-        lhs = row.value(x)
-        if not row.holds(lhs):
-            violations.append(Violation(row.tag, lhs, row.rel, row.rhs))
+    violations.extend(Violation(row.tag, lhs, row.rel, row.rhs)
+                      for row, lhs in violated_rows(system.rows, x))
     return VerifyReport(not violations, tuple(violations))
 
 

@@ -18,7 +18,8 @@ witness, each basic value being the row's rhs over its scale; an
 infeasible one carries Farkas multipliers, read from the phase-1 reduced
 costs of the surplus columns, one integer row over its own scale.  Both
 are checkable by plain arithmetic in ``check_certificate`` without
-consulting any solver state.
+consulting any solver state: the witness, or the multipliers, go over one
+common denominator d, so each row is an integer sum compared with rhs * d.
 
 Certificate convention: one multiplier per original row.  A multiplier u on
 a '>=' row scales the row as is, on a '<=' row it scales the negated row
@@ -49,10 +50,6 @@ UNBOUNDED = "unbounded"
 _HOLDS = {LE: operator.le, GE: operator.ge, EQ: operator.eq}
 
 
-def _dot(pairs, x) -> Fraction:
-    return sum((c * x[j] for j, c in pairs), Fraction(0))
-
-
 @dataclass(frozen=True)
 class LPRow:
     """The constraint ``coeffs . x rel rhs``.
@@ -71,14 +68,6 @@ class LPRow:
     def __post_init__(self):
         if self.rel not in _HOLDS:
             raise ValueError(f"bad relation {self.rel!r}")
-
-    def value(self, x) -> Fraction:
-        """The left-hand side at the point x."""
-        return _dot(self.coeffs, x)
-
-    def holds(self, value) -> bool:
-        """Whether a left-hand side of ``value`` satisfies the row."""
-        return _HOLDS[self.rel](value, self.rhs)
 
 
 @dataclass(frozen=True)
@@ -121,8 +110,11 @@ class FeasibilityResult:
     witness: tuple | None = None  # rational point, len nvars
     certificate: tuple | None = None  # multipliers, one per original row
     objective_value: object | None = None
-    # simplex pivots made, drive-outs included; not part of the result's value
+    # simplex pivots made, drive-outs included, and those of them on a row
+    # whose rhs was 0 (the basic values did not move); not part of the
+    # result's value
     pivots: int = field(default=0, compare=False)
+    degenerate_pivots: int = field(default=0, compare=False)
 
 
 def _ge_form(lp: StandardFormLP):
@@ -157,10 +149,19 @@ class _Tableau:
     by the positive scale ``scale[r]``, the coefficient of the row's basic
     variable.  The scale is kept beside the row because an artificial basic
     variable has no stored column.  A row with Fraction data starts scaled
-    by the lcm of its denominators, and every updated row is divided by the
-    gcd of its entries, rhs and scale.  ``cols[j]`` holds the rows with a
-    nonzero in column j, so a pivot touches only those rows.  The reduced
-    costs are one integer row ``red`` over the positive ``red_scale``.
+    by the lcm of its denominators.  A pivot on entry ``piv`` (the pivot
+    row's scale) clears column ``col`` from each other row with cofactors,
+    as in Bareiss's integer-preserving elimination: with ``f`` the row's
+    entry there and ``g = gcd(piv, f)``, the row becomes
+    ``(piv/g) * row - (f/g) * pivot row`` and its scale
+    ``(piv/g) * scale``; then it is divided by the gcd of its entries, rhs
+    and scale.  The exact rows are the same as with the plain products, and
+    ``piv/g`` is mostly 1, so most rows are not multiplied at all.
+    ``cols[j]`` holds the rows with a nonzero in column j, so a pivot
+    touches only those rows.  The reduced costs are one integer row ``red``
+    over the positive ``red_scale``, updated the same way.  A pivot on a
+    row whose rhs is 0 moves no basic value and is counted in
+    ``degenerate_pivots``.
     Only signs and cross-multiplied ratios are compared, so Bland's rule
     makes the same pivots as it would on the exact rows.
 
@@ -180,6 +181,7 @@ class _Tableau:
         self.cost = [0] * self.ncols
         self.cols = [set() for _ in range(self.ncols)]
         self.pivots = 0
+        self.degenerate_pivots = 0
         for i, (pairs, b) in enumerate(ge_rows):
             # scaled by the lcm of its denominators, with -lcm as its
             # surplus entry (a.x - s = b), the row is primitive
@@ -226,6 +228,8 @@ class _Tableau:
             for j in row:
                 row[j] = -row[j]
             rhs[r] = -rhs[r]
+        if not rhs[r]:
+            self.degenerate_pivots += 1
         rhs[r], scale[r] = _reduce(row, rhs[r], row[col])
         b, piv = rhs[r], scale[r]
         others = cols[col]
@@ -234,17 +238,21 @@ class _Tableau:
             if rr != r:
                 target = rows[rr]
                 f = target[col]
-                added, removed = _combine(target, piv, f, row)
+                g = math.gcd(piv, f)
+                p, q = piv // g, f // g
+                added, removed = _combine(target, p, q, row)
                 for j in added:
                     cols[j].add(rr)
                 for j in removed:
                     cols[j].discard(rr)
                 rhs[rr], scale[rr] = _reduce(
-                    target, piv * rhs[rr] - f * b, piv * scale[rr])
+                    target, p * rhs[rr] - q * b, p * scale[rr])
         f = self.red.get(col)
         if f:
-            _combine(self.red, piv, f, row)
-            _, self.red_scale = _reduce(self.red, 0, piv * self.red_scale)
+            g = math.gcd(piv, f)
+            _combine(self.red, piv // g, f // g, row)
+            _, self.red_scale = _reduce(self.red, 0,
+                                        piv // g * self.red_scale)
         self.basis[r] = col
         self.pivots += 1
 
@@ -275,21 +283,22 @@ class _Tableau:
         return tuple(x)
 
 
-def _combine(target, piv, f, row):
-    """Set the sparse row ``target`` to ``piv * target - f * row`` in place;
+def _combine(target, p, q, row):
+    """Set the sparse row ``target`` to ``p * target - q * row`` in place;
     return the columns that became nonzero and those that became zero."""
-    if piv != 1:
+    if p != 1:
         for j in target:
-            target[j] *= piv
+            target[j] *= p
     added = []
     removed = []
+    get = target.get
     for j, v in row.items():
-        w = target.get(j)
+        w = get(j)
         if w is None:
-            target[j] = -f * v
+            target[j] = -q * v
             added.append(j)
             continue
-        w -= f * v
+        w -= q * v
         if w:
             target[j] = w
         else:
@@ -316,6 +325,11 @@ def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
     """Phase-1 simplex (plus phase-2 when an objective is given)."""
     ge_rows, back = _ge_form(lp)
     tab = _Tableau(ge_rows, lp.nvars)
+
+    def result(status, **values):
+        return FeasibilityResult(status, **values, pivots=tab.pivots,
+                                 degenerate_pivots=tab.degenerate_pivots)
+
     tab.run()
     if tab.objective_value() > 0:
         # infeasible: the multiplier of ge-form row k is the reduced cost
@@ -324,11 +338,9 @@ def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
         for k, (orig, sigma) in enumerate(back):
             u = Fraction(tab.red.get(lp.nvars + k, 0), tab.red_scale)
             mults[orig] += sigma * u if lp.rows[orig].rel == EQ else u
-        return FeasibilityResult(INFEASIBLE, certificate=tuple(mults),
-                                 pivots=tab.pivots)
+        return result(INFEASIBLE, certificate=tuple(mults))
     if lp.objective is None:
-        return FeasibilityResult(FEASIBLE, witness=tab.witness(lp.nvars),
-                                 pivots=tab.pivots)
+        return result(FEASIBLE, witness=tab.witness(lp.nvars))
     # phase 2: drive out lingering basic artificials (on the first nonzero
     # column of their row), then minimize
     for r in range(tab.m):
@@ -337,41 +349,70 @@ def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
     tab.cost = list(lp.objective) + [0] * (len(tab.cost) - lp.nvars)
     tab._rebuild_objective()
     if tab.run() == "unbounded":
-        return FeasibilityResult(UNBOUNDED, pivots=tab.pivots)
-    return FeasibilityResult(FEASIBLE, witness=tab.witness(lp.nvars),
-                             objective_value=tab.objective_value(),
-                             pivots=tab.pivots)
+        return result(UNBOUNDED)
+    return result(FEASIBLE, witness=tab.witness(lp.nvars),
+                  objective_value=tab.objective_value())
+
+
+def _scaled(values):
+    """(d, the values times d): d is the lcm of the denominators of the
+    exact ``values``, so the scaled values are ints."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _exact(values, n) -> bool:
+    return (values is not None and len(values) == n
+            and all(isinstance(v, (int, Fraction)) for v in values))
+
+
+def violated_rows(rows, x):
+    """Yield ``(row, lhs)`` for each of the ``rows`` that the exact point x
+    violates, lhs being the row's left-hand side at x as a Fraction.
+
+    x is put over one common denominator d first, so a row is checked as
+    one sum against ``rhs * d``, in ints when the row's data are ints; only
+    a violated row's lhs is divided back by d.
+    """
+    d, xs = _scaled(x)
+    for row in rows:
+        lhs = sum([c * xs[j] for j, c in row.coeffs])
+        if not _HOLDS[row.rel](lhs, row.rhs * d):
+            yield row, Fraction(lhs, d)
 
 
 def check_certificate(lp: StandardFormLP, result: FeasibilityResult) -> bool:
-    """Independent arithmetic re-check of a witness or Farkas certificate."""
+    """Independent arithmetic re-check of a witness or Farkas certificate.
+
+    The witness, or the multipliers, must be ints or Fractions; they are
+    scaled by the lcm of their denominators, so with integer LP data every
+    sum is an int.
+    """
     if result.status == FEASIBLE:
         x = result.witness
-        if x is None or len(x) != lp.nvars or any(v < 0 for v in x):
+        if (not _exact(x, lp.nvars) or any(v < 0 for v in x)
+                or next(violated_rows(lp.rows, x), None)):
             return False
-        if not all(row.holds(row.value(x)) for row in lp.rows):
-            return False
-        return (lp.objective is None
-                or (result.objective_value is not None
-                    and _dot(enumerate(lp.objective), x)
-                    == result.objective_value))
+        if lp.objective is None:
+            return True
+        d, xs = _scaled(x)
+        return (result.objective_value is not None
+                and sum(map(operator.mul, lp.objective, xs))
+                == result.objective_value * d)
     if result.status == INFEASIBLE:
         u = result.certificate
-        if u is None or len(u) != len(lp.rows):
+        if not _exact(u, len(lp.rows)):
             return False
-        combined = [Fraction(0)] * lp.nvars
-        rhs = Fraction(0)
-        for mult, row in zip(u, lp.rows):
-            if row.rel == GE:
-                if mult < 0:
+        # the multipliers times d > 0: the same signs, the same verdict
+        _, us = _scaled(u)
+        combined = [0] * lp.nvars
+        rhs = 0
+        for s, row in zip(us, lp.rows):
+            if row.rel != EQ:
+                if s < 0:
                     return False
-                s = mult
-            elif row.rel == LE:
-                if mult < 0:
-                    return False
-                s = -mult
-            else:
-                s = mult
+                if row.rel == LE:
+                    s = -s
             if s:
                 for j, c in row.coeffs:
                     combined[j] += s * c

@@ -6,7 +6,8 @@ subset alternating sum, factorizations by trying every assignment, LP
 feasibility by Fourier-Motzkin elimination, circuit multiplicities by
 literally walking the circuit, chamber wall counts by sign-vector
 enumeration, SVG decimals by a digit loop over Fractions, LP results by
-the dense Fraction simplex tableau, ranks by Gaussian elimination and
+the dense Fraction simplex tableau, witnesses, Farkas certificates and
+weight systems by evaluating each row in Fractions, ranks by Gaussian elimination and
 angular order by cross products, the vertices along each line by sorting
 on dot products, symmetries of the bounded complex by
 line permutations and by point maps of the plane.  Dense constraint rows
@@ -19,6 +20,7 @@ value of an integer polynomial.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,11 +32,13 @@ from arrlab.arrangement import (
 )
 from arrlab.cells import Corner
 from arrlab.factored import Factorization
-from arrlab.falk import WeightError
+from arrlab.falk import NONNEGATIVITY, VerifyReport, Violation, WeightError
 from arrlab.lpcore import (
     EQ,
     FEASIBLE,
+    GE,
     INFEASIBLE,
+    LE,
     UNBOUNDED,
     FeasibilityResult,
     LPRow,
@@ -558,6 +562,7 @@ class DenseTableau:
         self.basis = []
         self.cost = [zero] * self.ncols
         self.pivots = 0
+        self.degenerate_pivots = 0
         for i, (pairs, b) in enumerate(ge_rows):
             row = [Fraction(c) for c in dense_coeffs(pairs, nvars)] \
                 + [zero] * m
@@ -590,6 +595,8 @@ class DenseTableau:
                     if self.cost[b]), Fraction(0))
 
     def _pivot(self, r, col):
+        if not self.rhs[r]:
+            self.degenerate_pivots += 1
         row = self.rows[r]
         piv = row[col]
         if piv != 1:
@@ -646,9 +653,14 @@ class DenseTableau:
 
 def dense_simplex_reference(lp: StandardFormLP) -> FeasibilityResult:
     """``lpcore.solve_feasibility`` on the dense Fraction tableau: the same
-    Bland pivots, so the same result and pivot count."""
+    Bland pivots, so the same result and pivot counts."""
     ge_rows, back = _ge_form(lp)
     tab = DenseTableau(ge_rows, lp.nvars)
+
+    def result(status, **values):
+        return FeasibilityResult(status, **values, pivots=tab.pivots,
+                                 degenerate_pivots=tab.degenerate_pivots)
+
     tab.run()
     if tab.objective_value() > 0:
         # infeasible: the multiplier of ge-form row k is the reduced cost
@@ -657,11 +669,9 @@ def dense_simplex_reference(lp: StandardFormLP) -> FeasibilityResult:
         for k, (orig, sigma) in enumerate(back):
             u = tab.red[lp.nvars + k]
             mults[orig] += sigma * u if lp.rows[orig].rel == EQ else u
-        return FeasibilityResult(INFEASIBLE, certificate=tuple(mults),
-                                 pivots=tab.pivots)
+        return result(INFEASIBLE, certificate=tuple(mults))
     if lp.objective is None:
-        return FeasibilityResult(FEASIBLE, witness=tab.witness(lp.nvars),
-                                 pivots=tab.pivots)
+        return result(FEASIBLE, witness=tab.witness(lp.nvars))
     # phase 2: drive out lingering basic artificials, then minimize
     for r in range(tab.m):
         if tab.basis[r] >= tab.ncols:
@@ -673,7 +683,73 @@ def dense_simplex_reference(lp: StandardFormLP) -> FeasibilityResult:
                 + [Fraction(0)] * (len(tab.cost) - lp.nvars))
     tab._rebuild_objective()
     if tab.run() == "unbounded":
-        return FeasibilityResult(UNBOUNDED, pivots=tab.pivots)
-    return FeasibilityResult(FEASIBLE, witness=tab.witness(lp.nvars),
-                             objective_value=tab.objective_value(),
-                             pivots=tab.pivots)
+        return result(UNBOUNDED)
+    return result(FEASIBLE, witness=tab.witness(lp.nvars),
+                  objective_value=tab.objective_value())
+
+
+_HOLDS = {LE: operator.le, GE: operator.ge, EQ: operator.eq}
+
+
+def row_value(row, x) -> Fraction:
+    """The left-hand side of the sparse LPRow ``row`` at the point x."""
+    return sum((c * x[j] for j, c in row.coeffs), Fraction(0))
+
+
+def row_holds(row, value) -> bool:
+    """Whether a left-hand side of ``value`` satisfies ``row``."""
+    return _HOLDS[row.rel](value, row.rhs)
+
+
+def check_certificate_reference(lp: StandardFormLP,
+                                result: FeasibilityResult) -> bool:
+    """``lpcore.check_certificate`` in Fractions: each row of the LP is
+    evaluated at the witness, or the rows are combined with the Farkas
+    multipliers, one Fraction product at a time."""
+    if result.status == FEASIBLE:
+        x = result.witness
+        if x is None or len(x) != lp.nvars or any(v < 0 for v in x):
+            return False
+        if not all(row_holds(row, row_value(row, x)) for row in lp.rows):
+            return False
+        return (lp.objective is None
+                or (result.objective_value is not None
+                    and sum((c * v for c, v in zip(lp.objective, x)),
+                            Fraction(0)) == result.objective_value))
+    if result.status == INFEASIBLE:
+        u = result.certificate
+        if u is None or len(u) != len(lp.rows):
+            return False
+        combined = [Fraction(0)] * lp.nvars
+        rhs = Fraction(0)
+        for mult, row in zip(u, lp.rows):
+            if row.rel == GE:
+                if mult < 0:
+                    return False
+                s = mult
+            elif row.rel == LE:
+                if mult < 0:
+                    return False
+                s = -mult
+            else:
+                s = mult
+            if s:
+                for j, c in row.coeffs:
+                    combined[j] += s * c
+                rhs += s * row.rhs
+        return all(c <= 0 for c in combined) and rhs > 0
+    return False
+
+
+def check_weights_reference(system, weights) -> VerifyReport:
+    """``falk._check_weights`` in Fractions: the nonnegativity conditions,
+    then the rows of ``system`` in order, each evaluated at the weights."""
+    x = [Fraction(weights[c]) for c in system.variables]
+    violations = [Violation(f"{NONNEGATIVITY} corner ({c.vertex},{c.face})",
+                            v, GE, 0)
+                  for c, v in zip(system.variables, x) if v < 0]
+    for row in system.rows:
+        lhs = row_value(row, x)
+        if not row_holds(row, lhs):
+            violations.append(Violation(row.tag, lhs, row.rel, row.rhs))
+    return VerifyReport(not violations, tuple(violations))

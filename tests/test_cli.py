@@ -12,6 +12,9 @@ from arrlab.cells import Corner
 from arrlab.falk import ConstraintSystem, SolveResult
 from arrlab.lpcore import (GE, INFEASIBLE, LE, FeasibilityResult, LPRow,
                            StandardFormLP, solve_feasibility)
+from arrlab.poset import IntPolynomial
+
+from oracles import whitney_poincare
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -124,9 +127,31 @@ def test_analyze_unbounded_witness_counts_infinity(tmp_path, capsys):
     assert "simplicial_witness: quadrilateral chamber\n" in out
 
 
-def test_analyze_rank2_central_exits_2(tmp_path, capsys):
-    ref = write_planes(tmp_path / "a.txt", (1, 0, 0), (0, 1, 0))
+def test_analyze_rank2_central_reports_na(tmp_path, capsys):
+    # three planes through one line have no plane section to decone to:
+    # the report gives pi of the arrangement itself and n/a for the rest
+    ref = write_planes(tmp_path / "a.txt", (1, 0, 0), (0, 1, 0), (1, 1, 0))
     code, out, err = run_cli(["analyze", ref], capsys)
+    assert code == 0 and err == ""
+    assert out == (f"input: {ref}\nkind: central\nfield: rational\n"
+                   "hyperplanes: 3\npi: 1 + 3t + 2t^2\n"
+                   "integer_split: {1,2}\n"
+                   + "".join(f"{key}: n/a\n" for key in (
+                       "simplicial", "decone_plane", "pi_decone",
+                       "factored", "gamma_vertices", "gamma_edges",
+                       "gamma_faces", "gamma_corners", "face_census",
+                       "link_census", "falk")))
+    assert whitney_poincare(arrlab.parse_arrangement(
+        (tmp_path / "a.txt").read_text())) == IntPolynomial((1, 3, 2))
+    # so do a single plane and two planes
+    for normals, pi in ((((0, 0, 1),), "1 + t"),
+                        (((1, 0, 0), (0, 1, 0)), "1 + 2t + t^2")):
+        ref = write_planes(tmp_path / "b.txt", *normals)
+        code, out, _ = run_cli(["analyze", ref], capsys)
+        assert code == 0
+        assert f"\npi: {pi}\n" in out and out.endswith("falk: n/a\n")
+    # the other commands that need the section still refuse it
+    code, out, err = run_cli(["gamma", ref], capsys)
     assert code == 2 and out == ""
     assert err == "arrlab: error: decone requires a rank-3 arrangement\n"
 

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -25,6 +26,7 @@ from arrlab.falk import _raw_circuits
 from arrlab.lpcore import check_certificate, solve_feasibility
 
 from oracles import (
+    check_weights_reference,
     essential_random_line_arrangement,
     evaluate_circuit,
     interior_square,
@@ -346,3 +348,37 @@ def test_solve_verify_roundtrip_on_randoms():
         else:
             assert check_certificate(result.lp, result.lp_result)
     assert solved > 0
+
+
+def _perturbed(weights, rng, rounds):
+    """Copies of ``weights`` with a few corners moved: by +-1/(2d), d the
+    lcm of the denominators, by +-1/2, or to -1/(2d)."""
+    corners = sorted(weights)
+    d = math.lcm(*(F(v).denominator for v in weights.values()))
+    for _ in range(rounds):
+        out = dict(weights)
+        for c in rng.sample(corners, rng.randint(1, 4)):
+            out[c] = rng.choice((out[c] + F(1, 2 * d), out[c] - F(1, 2 * d),
+                                 out[c] + F(1, 2), out[c] - F(1, 2),
+                                 F(-1, 2 * d)))
+        yield out
+
+
+def test_check_weights_matches_fraction_reference(
+        gamma_lid, lid_solution, lid_solution_equality):
+    rng = random.Random(19)
+    cases = [(build_constraints(gamma_lid), lid_solution.weights),
+             (build_constraints(gamma_lid, equality_asphericity=True),
+              lid_solution_equality.weights)]
+    for _ in range(6):
+        arr = essential_random_line_arrangement(rng, 9, coeff_range=6)
+        gam = gamma_of(arr)
+        cases.append((build_constraints(gam), solve(gam).weights))
+    failed = 0
+    for system, weights in cases:
+        for w in (weights, *_perturbed(weights, rng, 15)):
+            got = falk._check_weights(system, w)
+            assert got == check_weights_reference(system, w)
+            assert all(type(v.lhs) is F for v in got.violations)
+            failed += not got.ok
+    assert failed > 80

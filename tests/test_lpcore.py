@@ -23,6 +23,7 @@ from arrlab.lpcore import (
 
 from oracles import (
     DenseTableau,
+    check_certificate_reference,
     dense_coeffs,
     dense_simplex_reference,
     essential_random_line_arrangement,
@@ -230,21 +231,27 @@ def test_icosidodecahedral_pivot_counts(lid_solution, lid_solution_equality,
     res = lid_solution_equality_min
     assert res.lp_result.pivots == 1244
     assert res.lp_result.objective_value == 58
+    # of these, the pivots on a row with rhs 0, which move no basic value
+    assert [s.lp_result.degenerate_pivots for s in (
+        lid_solution, lid_solution_equality, res)] == [589, 907, 1019]
 
 
 def test_icosidodecahedral_reduced_pivot_counts(gamma_lid, lid_group):
     # the same three solves over the 18 corner orbits of the D5 group,
     # as the CLI runs them
-    counts = [solve(gamma_lid, symmetry=lid_group, **kw).lp_result.pivots
-              for kw in ({}, {"equality_asphericity": True},
-                         {"equality_asphericity": True,
-                          "minimize_total": True})]
-    assert counts == [66, 77, 94]
+    results = [solve(gamma_lid, symmetry=lid_group, **kw).lp_result
+               for kw in ({}, {"equality_asphericity": True},
+                          {"equality_asphericity": True,
+                           "minimize_total": True})]
+    assert [r.pivots for r in results] == [66, 77, 94]
+    assert [r.degenerate_pivots for r in results] == [45, 47, 64]
 
 
 def test_pivots_take_no_part_in_equality():
-    res = FeasibilityResult(FEASIBLE, witness=(F(1),), pivots=3)
+    res = FeasibilityResult(FEASIBLE, witness=(F(1),), pivots=3,
+                            degenerate_pivots=1)
     assert res == replace(res, pivots=4)
+    assert res == replace(res, degenerate_pivots=2)
 
 
 def test_falk_lps_match_dense_reference():
@@ -258,6 +265,7 @@ def test_falk_lps_match_dense_reference():
             ref = dense_simplex_reference(res.lp)
             assert res.lp_result == ref
             assert res.lp_result.pivots == ref.pivots > 0
+            assert res.lp_result.degenerate_pivots == ref.degenerate_pivots
 
 
 # SHA-256 of the row tags of the icosidodecahedral section's system, one
@@ -298,6 +306,7 @@ def test_random_lp_results_digest():
         for case in (lp, replace(lp, objective=objective)):
             res = solve_feasibility(case)
             assert check_certificate(case, res) or res.status == UNBOUNDED
+            assert 0 <= res.degenerate_pivots <= res.pivots
             digest.update(_result_line(res).encode())
     assert digest.hexdigest() == RANDOM_LP_RESULTS_SHA256
 
@@ -330,6 +339,7 @@ def test_fraction_lp_results_digest():
         for case in (lp, replace(lp, objective=objective)):
             res = solve_feasibility(case)
             assert check_certificate(case, res) or res.status == UNBOUNDED
+            assert 0 <= res.degenerate_pivots <= res.pivots
             digest.update(_result_line(res).encode())
     assert digest.hexdigest() == FRACTION_LP_RESULTS_SHA256
 
@@ -365,6 +375,7 @@ def _census_shape_digest():
         gamma = bounded_complex(build_complex(arr))
         for minimize_total in (False, True):
             res = solve(gamma, minimize_total=minimize_total).lp_result
+            assert 0 <= res.degenerate_pivots <= res.pivots
             digest.update(f"{res.pivots} {_result_line(res)}".encode())
     return digest.hexdigest()
 
@@ -379,3 +390,53 @@ CENSUS_SHAPE_RESULTS_SHA256 = \
 
 def test_census_shape_results_digest():
     assert _census_shape_digest() == CENSUS_SHAPE_RESULTS_SHA256
+
+
+def _near_misses(res, rng):
+    """Copies of a feasible or infeasible result that miss it by the
+    smallest step: a witness entry moved by +-1/(2d), d the lcm of the
+    witness's denominators, or the objective value moved by 1/(2d); a
+    nonzero multiplier negated, set to 0 or dropped from the tuple."""
+    if res.status == FEASIBLE:
+        x = res.witness
+        d = math.lcm(*(v.denominator for v in x))
+        j = rng.randrange(len(x))
+        for step in (F(1, 2 * d), F(-1, 2 * d)):
+            yield replace(res, witness=x[:j] + (x[j] + step,) + x[j + 1:])
+        if res.objective_value is not None:
+            yield replace(res, objective_value=res.objective_value
+                          + F(1, 2 * d))
+    elif res.status == INFEASIBLE:
+        u = res.certificate
+        k = rng.choice([k for k, v in enumerate(u) if v])
+        for v in (-u[k], F(0)):
+            yield replace(res, certificate=u[:k] + (v,) + u[k + 1:])
+        yield replace(res, certificate=u[:k] + u[k + 1:])
+
+
+@pytest.mark.parametrize("make_lp, seed", [(random_lp, 11),
+                                           (_fraction_lp, 12)],
+                         ids=["int", "fraction"])
+def test_integer_check_agrees_with_fraction_reference(make_lp, seed):
+    rng = random.Random(seed)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        lp = make_lp(rng)
+        objective = tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
+                          for _ in range(lp.nvars))
+        for case in (lp, replace(lp, objective=objective)):
+            res = solve_feasibility(case)
+            for cand in (res, *_near_misses(res, rng)):
+                ok = check_certificate(case, cand)
+                assert ok == check_certificate_reference(case, cand), cand
+                verdicts[ok] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 300
+
+
+def test_inexact_certificates_rejected():
+    lp = StandardFormLP(1, (LPRow(X, ">=", 2), LPRow(X, "<=", 1)))
+    assert not check_certificate(
+        lp, FeasibilityResult(INFEASIBLE, certificate=(1.0, F(1))))
+    lp = StandardFormLP(1, (LPRow(X, ">=", 2),))
+    assert not check_certificate(lp, FeasibilityResult(FEASIBLE,
+                                                        witness=(2.0,)))
