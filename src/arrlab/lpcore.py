@@ -291,9 +291,8 @@ def _combine(target, p, q, row):
             target[j] *= p
     added = []
     removed = []
-    get = target.get
     for j, v in row.items():
-        w = get(j)
+        w = target.get(j)
         if w is None:
             target[j] = -q * v
             added.append(j)
@@ -362,6 +361,7 @@ def _scaled(values):
 
 
 def _exact(values, n) -> bool:
+    """Whether ``values`` holds n ints or Fractions."""
     return (values is not None and len(values) == n
             and all(isinstance(v, (int, Fraction)) for v in values))
 
