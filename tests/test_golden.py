@@ -260,14 +260,15 @@ def test_large_constraint_output(name, tmp_path, capsys):
 
 
 
-def _large_golden_inputs():
-    golden = _large_inputs()["golden24"]
-    return {"golden24": golden, "goldencone24": cone(golden)}
+def _large_geometry_inputs():
+    inputs = _large_inputs()
+    inputs["goldencone24"] = cone(inputs["golden24"])
+    return inputs
 
 
-# the geometry commands on the seeded 24-line Q(sqrt5) input and its cone:
-# the crossing order, the cell complex and the SVG decimals of a large
-# golden input
+# the geometry commands on the seeded 24-line inputs over Q and Q(sqrt5)
+# and their cones: the crossing order, the cell complex and the SVG
+# decimals of large inputs of either field
 LARGE_GOLDEN_CASES = {
     "poset": ["poset", "{ref}", "--mobius"],
     "factor": ["factor", "{ref}"],
@@ -292,12 +293,29 @@ LARGE_GOLDEN_DIGESTS = {
         "1e8e6ce0b628ffeba7fe54122cae01f5e7552f983f9e4e2eb1e3c6127f5168aa",
     "render/goldencone24":
         "cd950eab7d8bbf4371cc3587a8f54d6220600be23fbb8276428672203c1a0a55",
+    "poset/rational24":
+        "5ebc11f89bfb46be2a7b2c9a48df96875402b1c2ac6d077a5a1131ab24f5e36e",
+    "factor/rational24":
+        "5bcde0200e3426e072fc2af9ba0ad4b1dc6d6ec521c0d9db40d59363776597c1",
+    "gamma/rational24":
+        "0285e72ff7c3e4cd4b79e7b4c49a49f0dca0ddc42e882ce73f75349ba4d1921a",
+    "render/rational24":
+        "555c35652e9b503a0ed387f199c3ca33ff6b9a95ceb734ad8d5e9c4e51461741",
+    "poset/cone24":
+        "4c17cc65a3469c86b93018e5d79fde636139c7c972a8eb8a0e32023f7dd45494",
+    "factor/cone24":
+        "a8e09ce42e3e19fb117f8dbd525430ce2a993eb9e2e291d2d356089c7b1e191d",
+    "gamma/cone24":
+        "46f496760c49f5ade8a459b1eb840af31e19dee99eb6bf44e79340cdb2150600",
+    "render/cone24":
+        "bece5ff07f5b2eea342bab0e1fcb386b9cafaedc09b1e3fb1c540e71fec9a476",
 }
 
 
-@pytest.mark.parametrize("name", ("golden24", "goldencone24"))
+@pytest.mark.parametrize("name", ("golden24", "goldencone24", "rational24",
+                                  "cone24"))
 @pytest.mark.parametrize("case", LARGE_GOLDEN_CASES)
 def test_large_golden_output(case, name, tmp_path, capsys):
-    ref = _write_input(_large_golden_inputs()[name], name, tmp_path)
+    ref = _write_input(_large_geometry_inputs()[name], name, tmp_path)
     assert run_commands([LARGE_GOLDEN_CASES[case]], ref, tmp_path,
                         capsys) == LARGE_GOLDEN_DIGESTS[f"{case}/{name}"]
