@@ -2,9 +2,11 @@
 
 Hyperplanes are stored in a canonical normalization (first nonzero
 coefficient scaled to 1) so that equality, distinctness and lexicographic
-ordering are purely syntactic.  Arrangements carry a field tag (``rational``
-or ``golden``) and coerce every coefficient into that field on construction,
-which keeps cross-field arithmetic out of the geometry.
+ordering are purely syntactic.  Every coefficient is a GoldenScalar, in
+either field: arrangements carry a field tag (``rational`` or ``golden``),
+and on construction they coerce each coefficient to a GoldenScalar and
+reject an irrational one in a rational arrangement, so both fields run on
+the same integer arithmetic.
 
 The module also owns the text file format::
 
@@ -20,7 +22,6 @@ arrangement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
@@ -28,13 +29,11 @@ from .scalar import (
     FIELDS,
     GOLDEN,
     RATIONAL,
-    GoldenScalar,
     PHI,
     ScalarError,
     coerce_scalar,
     format_scalar,
     parse_scalar,
-    sign,
 )
 
 
@@ -54,7 +53,7 @@ def scale_first_nonzero(coeffs):
     """Scale a coefficient vector so its first nonzero entry equals 1."""
     pivot = None
     for c in coeffs:
-        if sign(c) != 0:
+        if c:
             pivot = c
             break
     if pivot is None:
@@ -84,7 +83,7 @@ class AffineLine:
     c: object
 
     def __post_init__(self):
-        if sign(self.a) == 0 and sign(self.b) == 0:
+        if not self.a and not self.b:
             raise ArrangementError("line with zero normal (a, b)")
         for name, x in zip("abc", scale_first_nonzero(self.coeffs())):
             object.__setattr__(self, name, x)
@@ -98,7 +97,7 @@ class AffineLine:
 
     def contains(self, point) -> bool:
         x, y = point
-        return sign(self.a * x + self.b * y - self.c) == 0
+        return self.a * x + self.b * y == self.c
 
     def is_parallel(self, other: "AffineLine") -> bool:
         # normalized normals of parallel lines are equal
@@ -107,7 +106,7 @@ class AffineLine:
     def intersect(self, other: "AffineLine"):
         """Intersection point with another line, or None if parallel."""
         det = self.a * other.b - self.b * other.a
-        if sign(det) == 0:
+        if not det:
             return None
         x = (self.c * other.b - other.c * self.b) / det
         y = (self.a * other.c - other.a * self.c) / det
@@ -220,7 +219,7 @@ class CentralArrangement:
         if len(self.planes) < 3:
             return len(self.planes)
         axis = cross3(self.planes[0].normal(), self.planes[1].normal())
-        return 3 if any(sign(dot3(axis, pl.normal())) != 0
+        return 3 if any(dot3(axis, pl.normal())
                         for pl in self.planes[2:]) else 2
 
     def canonical(self) -> "CentralArrangement":
@@ -244,28 +243,26 @@ def build_icosidodecahedral() -> CentralArrangement:
     The construction is pinned by the Poincare polynomial
     1 + 16t + 75t^2 + 60t^3 in the test suite.
     """
-    one = GoldenScalar(1)
-    zero = GoldenScalar(0)
     phi = PHI
     phi2 = PHI * PHI
     edge_normals = []
-    for s in (one, -one):
-        edge_normals.append((zero, s, phi))
-        edge_normals.append((s, phi, zero))
-        edge_normals.append((phi, zero, s))
+    for s in (1, -1):
+        edge_normals.append((0, s, phi))
+        edge_normals.append((s, phi, 0))
+        edge_normals.append((phi, 0, s))
     diagonal_normals = [
-        (one, one, one),
-        (one, one, -one),
-        (one, -one, one),
-        (-one, one, one),
+        (1, 1, 1),
+        (1, 1, -1),
+        (1, -1, 1),
+        (-1, 1, 1),
     ]
-    for s in (one, -one):
-        diagonal_normals.append((phi2, s, zero))
-        diagonal_normals.append((zero, phi2, s))
-        diagonal_normals.append((s, zero, phi2))
-    planes = [CentralPlane(*n) for n in edge_normals + diagonal_normals]
+    for s in (1, -1):
+        diagonal_normals.append((phi2, s, 0))
+        diagonal_normals.append((0, phi2, s))
+        diagonal_normals.append((s, 0, phi2))
     labels = [EDGE] * len(edge_normals) + [DIAGONAL] * len(diagonal_normals)
-    return CentralArrangement(tuple(planes), GOLDEN, tuple(labels)).canonical()
+    return CentralArrangement(tuple(edge_normals + diagonal_normals), GOLDEN,
+                              tuple(labels)).canonical()
 
 
 def default_decone_index(arr: CentralArrangement) -> int:
@@ -288,39 +285,27 @@ def decone(arr: CentralArrangement, index: int) -> LineArrangement:
     if arr.rank() != 3:
         raise ArrangementError("decone requires a rank-3 arrangement")
     n = arr.planes[index].normal()
-    k = next(i for i in range(3) if sign(n[i]) != 0)
-    one = coerce_scalar(1, arr.field)
-    zero = coerce_scalar(0, arr.field)
-
-    def unit(i):
-        return tuple(one if j == i else zero for j in range(3))
-
-    # Basis: two vectors spanning the chosen plane (standard basis vectors
-    # corrected along e_k by Gaussian elimination), completed by e_k.
-    span = [tuple((one if j == i else zero) - (n[i] / n[k]) * (one if j == k else zero)
-                  for j in range(3))
-            for i in range(3) if i != k]
-    basis = [span[0], span[1], unit(k)]
+    k = next(i for i in range(3) if n[i])
+    i0, i1 = (i for i in range(3) if i != k)
+    # Basis: u_i = e_i - (n_i / n_k) e_k for i = i0, i1 span the chosen
+    # plane (Gaussian elimination along e_k), completed by e_k; plane m
+    # meets z = 1 in the line (m . u_i0) x + (m . u_i1) y = -(m . e_k).
     lines = []
     for j, pl in enumerate(arr.planes):
         if j == index:
             continue
         m = pl.normal()
-        a = dot3(m, basis[0])
-        b = dot3(m, basis[1])
-        c = -dot3(m, basis[2])
+        t = m[k] / n[k]
         # (a, b) != 0: the planes are distinct
-        lines.append(AffineLine(a, b, c))
+        lines.append(AffineLine(m[i0] - t * n[i0], m[i1] - t * n[i1], -m[k]))
     return LineArrangement(tuple(lines), arr.field).canonical()
 
 
 def cone(arr: LineArrangement) -> CentralArrangement:
     """Homogenize a line arrangement: a*x + b*y = c becomes a*x + b*y - c*z = 0,
     and the plane z = 0 is appended."""
-    zero = coerce_scalar(0, arr.field)
-    one = coerce_scalar(1, arr.field)
-    planes = [CentralPlane(ln.a, ln.b, -ln.c) for ln in arr.lines]
-    planes.append(CentralPlane(zero, zero, one))
+    planes = [(ln.a, ln.b, -ln.c) for ln in arr.lines]
+    planes.append((0, 0, 1))
     return CentralArrangement(tuple(planes), arr.field)
 
 
@@ -386,38 +371,27 @@ def serialize_arrangement(arr) -> str:
 
 # -- builtin arrangements ----------------------------------------------------
 
-def _boolean2() -> LineArrangement:
-    return LineArrangement(((Fraction(1), Fraction(0), Fraction(0)),
-                            (Fraction(0), Fraction(1), Fraction(0))), RATIONAL)
-
-
-def _generic3() -> LineArrangement:
-    return LineArrangement(((Fraction(1), Fraction(0), Fraction(0)),
-                            (Fraction(0), Fraction(1), Fraction(0)),
-                            (Fraction(1), Fraction(1), Fraction(1))), RATIONAL)
-
-
-def _boolean3() -> CentralArrangement:
-    return CentralArrangement(((Fraction(1), Fraction(0), Fraction(0)),
-                               (Fraction(0), Fraction(1), Fraction(0)),
-                               (Fraction(0), Fraction(0), Fraction(1))), RATIONAL)
-
-
-def _planes(normals, field_name) -> CentralArrangement:
-    return CentralArrangement(tuple(
-        tuple(coerce_scalar(c, field_name) for c in n) for n in normals),
-        field_name)
-
-
 _A3_NORMALS = ((1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1),
                (0, 1, -1))
 _AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def _boolean2() -> LineArrangement:
+    return LineArrangement(((1, 0, 0), (0, 1, 0)), RATIONAL)
+
+
+def _generic3() -> LineArrangement:
+    return LineArrangement(((1, 0, 0), (0, 1, 0), (1, 1, 1)), RATIONAL)
+
+
+def _boolean3() -> CentralArrangement:
+    return CentralArrangement(_AXES, RATIONAL)
+
+
 def _a3() -> CentralArrangement:
     """Reflection arrangement of type A3: x +- y, x +- z, y +- z; pi =
     (1 + t)(1 + 2t)(1 + 3t)."""
-    return _planes(_A3_NORMALS, RATIONAL)
+    return CentralArrangement(_A3_NORMALS, RATIONAL)
 
 
 def _b3() -> CentralArrangement:
@@ -425,7 +399,7 @@ def _b3() -> CentralArrangement:
     (1 + t)(1 + 3t)(1 + 5t).  It is deconed at plane 0, x + y = 0, whose
     section has a symmetry group of order 4; at a coordinate plane the
     group has order 8."""
-    return _planes(_A3_NORMALS + _AXES, RATIONAL)
+    return CentralArrangement(_A3_NORMALS + _AXES, RATIONAL)
 
 
 def _h3() -> CentralArrangement:
@@ -437,7 +411,7 @@ def _h3() -> CentralArrangement:
         for t in (1, -1):
             a, b, c = 1, s * PHI, t * PHI * PHI
             normals += [(a, b, c), (b, c, a), (c, a, b)]
-    return _planes(normals, GOLDEN)
+    return CentralArrangement(tuple(normals), GOLDEN)
 
 
 BUILTINS = {

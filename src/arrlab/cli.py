@@ -322,7 +322,7 @@ def parse_weights(text: str) -> dict:
                            f"'corner <vertex> <face> = <rational>'")
         corner = Corner(int(tokens[1]), int(tokens[2]))
         try:
-            value = parse_scalar(tokens[4], RATIONAL)
+            value = parse_scalar(tokens[4], RATIONAL).a
         except ScalarError as exc:
             raise CliError(f"weights line {lineno}: {exc}") from exc
         if corner in weights:

@@ -150,16 +150,13 @@ class SymmetryError(ValueError):
     """A supplied corner permutation does not preserve the constraints."""
 
 
-def build_constraints(gamma: BoundedComplex, *, equality_asphericity=False,
-                      symmetry=None) -> ConstraintSystem:
+def build_constraints(gamma: BoundedComplex, *,
+                      equality_asphericity=False) -> ConstraintSystem:
     """Assemble the full constraint system of the bounded complex.
 
     One row per bounded face (corner weights sum to d(f) - 2, relation <=
     or = per the flag), one row per deduplicated circuit (weight sum >= 2),
-    each a sparse LPRow over the corners in ``gamma.corners`` order.  With
-    a symmetry, variables become corner orbits and coefficients are
-    accumulated over orbit members; the permutations must leave the
-    unreduced system invariant.
+    each a sparse LPRow over the corners in ``gamma.corners`` order.
     """
     corners = gamma.corners
     index = {c: i for i, c in enumerate(corners)}
@@ -180,14 +177,15 @@ def build_constraints(gamma: BoundedComplex, *, equality_asphericity=False,
                 f"{ADMISSIBILITY} vertex {c.vertex} type ({c.ctype}) "
                 f"component {c.component} start {c.start}"))
     # dict keys keep the first of equal rows, with its tag
-    system = ConstraintSystem(tuple(corners), tuple((c,) for c in corners),
-                              tuple(dict.fromkeys(rows)))
-    return _orbit_system(system, symmetry) if symmetry else system
+    return ConstraintSystem(tuple(corners), tuple((c,) for c in corners),
+                            tuple(dict.fromkeys(rows)))
 
 
 def _orbit_system(system, symmetry):
     """The unreduced ``system`` over the orbits of ``symmetry``, rows that
-    become equal kept once, in order."""
+    become equal kept once, in order.  Coefficients are accumulated over
+    orbit members; SymmetryError unless the corner permutations leave the
+    unreduced system invariant."""
     corners = system.variables
     perms = _index_permutations(corners, symmetry)
     roots, orbits, orbit_of = _corner_orbits(len(corners), perms)

@@ -1,14 +1,17 @@
 """Exact scalar arithmetic for the two ordered fields used by the package.
 
-All geometry here is generic over an exact totally ordered field.  Two fields
-are supported:
+Every scalar of the geometry is a :class:`GoldenScalar`, an element of the
+real quadratic field Q(sqrt5) stored as ``(p + q*sqrt(5))/d`` with ints
+``p``, ``q``, ``d``, kept canonical (``d > 0``, ``gcd(p, q, d) == 1``); its
+rational parts ``a = p/d`` and ``b = q/d`` are read as Fractions.  Two field
+tags name what an arrangement may hold:
 
-* ``rational`` -- plain rationals, represented by :class:`fractions.Fraction`
-  (always in lowest terms, positive denominator).
-* ``golden`` -- the real quadratic field Q(sqrt5), represented by
-  :class:`GoldenScalar` as ``(p + q*sqrt(5))/d`` with ints ``p``, ``q``,
-  ``d``, kept canonical (``d > 0``, ``gcd(p, q, d) == 1``); its rational
-  parts ``a = p/d`` and ``b = q/d`` are read as Fractions.
+* ``rational`` -- the subfield Q, the scalars with ``q == 0``;
+* ``golden`` -- all of Q(sqrt5).
+
+The tag only labels files and validates values: both fields run on the same
+type and the same integer code.  Weights and LP data are not geometry; they
+stay ints and Fractions.
 
 Field operations work on the three ints alone, with one gcd per result.
 Signs and comparisons are decided by integer arithmetic: the sign of
@@ -175,10 +178,6 @@ class GoldenScalar:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> GoldenScalar:
-        # d / (p + q s) = d (p - q s) / (p^2 - 5 q^2)
-        return _quotient((1, 0, 1), (self._p, self._q, self._d))
-
     def __truediv__(self, other):
         o = _parts(other)
         if o is None:
@@ -190,25 +189,6 @@ class GoldenScalar:
         if o is None:
             return NotImplemented
         return _quotient(o, (self._p, self._q, self._d))
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _golden(1, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 - 5 b^2 (a rational)."""
-        return Fraction(self._p * self._p - 5 * self._q * self._q,
-                        self._d * self._d)
 
     # -- order -----------------------------------------------------------
 
@@ -302,43 +282,35 @@ def _parse_fraction(token: str) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
-def parse_scalar(token: str, field: str):
+def parse_scalar(token: str, field: str) -> GoldenScalar:
     """Parse one scalar token of the given field.
 
     ``rational`` accepts ``p`` or ``p/q``; ``golden`` additionally accepts
     ``p/q~r/s`` for p/q + (r/s)*sqrt5.
     """
-    if field == RATIONAL:
-        if "~" in token:
-            raise ScalarError(f"golden literal {token!r} in a rational context")
-        return _parse_fraction(token)
-    if field == GOLDEN:
-        rat, tilde, irr = token.partition("~")
-        a = _parse_fraction(rat)
-        b = _parse_fraction(irr) if tilde else Fraction(0)
-        return GoldenScalar(a, b)
-    raise ScalarError(f"unknown field {field!r}")
+    if field not in FIELDS:
+        raise ScalarError(f"unknown field {field!r}")
+    rat, tilde, irr = token.partition("~")
+    if tilde and field == RATIONAL:
+        raise ScalarError(f"golden literal {token!r} in a rational context")
+    return GoldenScalar(_parse_fraction(rat),
+                        _parse_fraction(irr) if tilde else 0)
 
 
-def format_scalar(x) -> str:
+def format_scalar(x: GoldenScalar) -> str:
     """Render a scalar in the shared token syntax (round-trips via parse)."""
-    if isinstance(x, GoldenScalar):
-        if not x.b:
-            return str(x.a)
-        return f"{x.a}~{x.b}"
-    return str(Fraction(x))
+    if not x._q:
+        return str(x.a)
+    return f"{x.a}~{x.b}"
 
 
-def coerce_scalar(x, field):
-    """Bring x into the given field, rejecting values that do not fit."""
-    if field == RATIONAL:
-        if isinstance(x, GoldenScalar):
-            if x.b:
-                raise ScalarError("irrational value in a rational arrangement")
-            return x.a
-        return x if isinstance(x, Fraction) else Fraction(x)
-    if field == GOLDEN:
-        if isinstance(x, GoldenScalar):
-            return x
-        return GoldenScalar(x, 0)
-    raise ScalarError(f"unknown field {field!r}")
+def coerce_scalar(x, field) -> GoldenScalar:
+    """Bring an int, Fraction or GoldenScalar into the given field as a
+    GoldenScalar; an irrational value does not fit the rational field."""
+    if field not in FIELDS:
+        raise ScalarError(f"unknown field {field!r}")
+    if not isinstance(x, GoldenScalar):
+        x = GoldenScalar(x)
+    if field == RATIONAL and x._q:
+        raise ScalarError("irrational value in a rational arrangement")
+    return x

@@ -1,7 +1,7 @@
 """Deterministic SVG rendering of line arrangements.
 
 Exactness discipline: all geometry (clipping, centroids, annotation anchors)
-is computed in the arrangement's field; scalars are converted to 12
+is computed exactly in GoldenScalars; scalars are converted to 12
 significant decimal digits only when written into the document, by one
 correctly rounded decimal division (sqrt5 is substituted by a 40-digit
 rational approximation).  Nothing rendered here flows back into any
@@ -17,7 +17,7 @@ from math import isqrt
 from .arrangement import LineArrangement
 from .cells import build_complex, bounded_complex
 from .falk import check_corners
-from .scalar import GoldenScalar, sign
+from .scalar import GoldenScalar
 
 # sqrt5 ~ _SQRT5_NUM / _SQRT5_SCALE, rounded down to 40 decimals
 _SQRT5_SCALE = 10 ** 40
@@ -25,20 +25,18 @@ _SQRT5_NUM = isqrt(5 * _SQRT5_SCALE ** 2)
 _DIGITS = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, GoldenScalar):
-        # (p + q*sqrt5)/d with sqrt5 ~ N/S is (p*S + q*N) / (d*S)
-        return Fraction(x._p * _SQRT5_SCALE + x._q * _SQRT5_NUM,
-                        x._d * _SQRT5_SCALE)
-    return Fraction(x)
+def _approximation(x: GoldenScalar):
+    """Numerator and denominator of x with sqrt5 ~ N/S: (p + q*sqrt5)/d
+    becomes (p*S + q*N) / (d*S)."""
+    return (x._p * _SQRT5_SCALE + x._q * _SQRT5_NUM, x._d * _SQRT5_SCALE)
 
 
-def decimal_str(x) -> str:
+def decimal_str(x: GoldenScalar) -> str:
     """Plain decimal expansion of a scalar to 12 significant digits."""
-    fr = _to_fraction(x)
-    if fr == 0:
+    num, den = _approximation(x)
+    if num == 0:
         return "0"
-    d = _DIGITS.divide(Decimal(fr.numerator), Decimal(fr.denominator))
+    d = _DIGITS.divide(Decimal(num), Decimal(den))
     return format(d.normalize(_DIGITS), "f")
 
 
@@ -55,11 +53,10 @@ def _bbox(complex_, arr):
     ys = [p[1] for p in pts]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
-    one = (xmax - xmin) * 0 + 1  # 1 in the ambient field
     wx = xmax - xmin
     wy = ymax - ymin
-    pad_x = wx / 5 if sign(wx) else one
-    pad_y = wy / 5 if sign(wy) else one
+    pad_x = wx / 5 if wx else 1
+    pad_y = wy / 5 if wy else 1
     return xmin - pad_x, xmax + pad_x, ymin - pad_y, ymax + pad_y
 
 
@@ -69,7 +66,7 @@ def _clip_line(ln, box):
     Every line crosses the box: through a vertex, which the box contains,
     or, when no two lines meet, through its own anchor point."""
     xmin, xmax, ymin, ymax = box
-    if sign(ln.b) != 0:
+    if ln.b:
         p0 = (xmin, (ln.c - ln.a * xmin) / ln.b)
     else:
         p0 = (ln.c / ln.a, ymin)
@@ -77,7 +74,7 @@ def _clip_line(ln, box):
     spans = [sorted(((vmin - coord) / d, (vmax - coord) / d))
              for coord, d, vmin, vmax in ((p0[0], dx, xmin, xmax),
                                           (p0[1], dy, ymin, ymax))
-             if sign(d) != 0]
+             if d]
     lo = max(t1 for t1, _ in spans)
     hi = min(t2 for _, t2 in spans)
     a = (p0[0] + lo * dx, p0[1] + lo * dy)
@@ -141,10 +138,8 @@ def render_svg(arr: LineArrangement, *, gamma: bool = False,
             v = cx.vertices[c.vertex].point
             f = gam.faces[c.face]
             k = len(f.vertex_ids)
-            centx = sum((cx.vertices[w].point[0] for w in f.vertex_ids),
-                        v[0] * 0) / k
-            centy = sum((cx.vertices[w].point[1] for w in f.vertex_ids),
-                        v[1] * 0) / k
+            centx = sum(cx.vertices[w].point[0] for w in f.vertex_ids) / k
+            centy = sum(cx.vertices[w].point[1] for w in f.vertex_ids) / k
             ax = v[0] + (centx - v[0]) * 3 / 10
             ay = v[1] + (centy - v[1]) * 3 / 10
             label = str(Fraction(weights[c]))

@@ -404,7 +404,9 @@ def chamber_wall_counts(arr: CentralArrangement):
     chamber iff the same system with n_i . v = 0 instead is solvable with
     the remaining constraints held at >= 1.
     """
-    normals = [pl.normal() for pl in arr.planes]
+    # the LP takes Fractions: the rational normals' parts a, with b == 0
+    assert all(c.b == 0 for pl in arr.planes for c in pl.normal())
+    normals = [tuple(c.a for c in pl.normal()) for pl in arr.planes]
     n = len(normals)
 
     def feasible(constraints):

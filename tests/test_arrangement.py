@@ -45,7 +45,7 @@ def test_plane_normalization():
     pl = CentralPlane(GoldenScalar(0), PHI, GoldenScalar(1))
     n = pl.normal()
     assert n[0] == 0 and n[1] == 1
-    assert n[2] == PHI.inverse()
+    assert n[2] == 1 / PHI
 
 
 def test_duplicate_lines_rejected():

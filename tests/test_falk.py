@@ -22,7 +22,7 @@ from arrlab.falk import (
     solve,
     verify,
 )
-from arrlab.falk import _raw_circuits
+from arrlab.falk import _orbit_system, _raw_circuits
 from arrlab.lpcore import check_certificate, solve_feasibility
 
 from oracles import (
@@ -304,8 +304,8 @@ def test_symmetry_orbit_reduction():
     # build the permutation from the geometry (rotation by 90 degrees)
     gam = gamma_of(interior_square())
     perm = point_map_permutation(gam, lambda p: (-p[1], p[0]))
-    system = build_constraints(gam, symmetry=[perm])
     full = build_constraints(gam)
+    system = _orbit_system(full, [perm])
     assert len(system.variables) < len(full.variables)
     result = solve(gam, symmetry=[perm])
     assert result.feasible
@@ -318,20 +318,21 @@ def test_bad_symmetry_rejected(gamma_lid, lid_group):
     perm = {c: c for c in corners}
     a, b = corners[0], corners[1]
     perm[a], perm[b] = b, a
+    full = build_constraints(gamma_lid)
     with pytest.raises(SymmetryError):
-        build_constraints(gamma_lid, symmetry=[perm])
+        _orbit_system(full, [perm])
     # after the true group, and through solve, it is still rejected
     with pytest.raises(SymmetryError, match="incidence"):
         solve(gamma_lid, symmetry=lid_group + [perm])
     # a map that sends two corners to one is no permutation at all
     perm[a] = a
     with pytest.raises(SymmetryError, match="not a bijection"):
-        build_constraints(gamma_lid, symmetry=[perm])
+        _orbit_system(full, [perm])
     # nor is one that misses a corner or names a corner outside Gamma
     for bad in ({c: c for c in corners[1:]},
                 {c: Corner(-1, -1) if c == a else c for c in corners}):
         with pytest.raises(SymmetryError, match="not a bijection"):
-            build_constraints(gamma_lid, symmetry=[bad])
+            _orbit_system(full, [bad])
 
 
 def test_solve_verify_roundtrip_on_randoms():

@@ -6,7 +6,7 @@ from math import isqrt
 from arrlab.arrangement import LineArrangement
 from arrlab.cells import build_complex
 from arrlab.scalar import RATIONAL, GoldenScalar
-from arrlab.svgout import (_bbox, _clip_line, _to_fraction, decimal_str,
+from arrlab.svgout import (_approximation, _bbox, _clip_line, decimal_str,
                            render_svg)
 
 from oracles import decimal_str_reference, random_line_arrangement
@@ -22,7 +22,7 @@ def _rational(rng, digits):
     return _signed(rng, Fraction(num, den), 0)
 
 
-def _samples(rng):
+def _rational_samples(rng):
     # rationals of 1-30 digits in numerator, any denominator
     for _ in range(4000):
         yield _rational(rng, rng.randint(1, 30))
@@ -37,6 +37,12 @@ def _samples(rng):
     yield Fraction(9999999999995, 10 ** 12)
     yield Fraction(0)
     yield Fraction(-1, 3)
+
+
+def _samples(rng):
+    # rational scalars are golden scalars with b = 0
+    for x in _rational_samples(rng):
+        yield GoldenScalar(x)
     # golden scalars, through the same sqrt5 approximation
     for _ in range(3000):
         yield GoldenScalar(_rational(rng, rng.randint(1, 12)),
@@ -47,8 +53,7 @@ def _samples(rng):
 def test_golden_to_fraction_is_a_plus_b_times_sqrt5_approximation():
     sqrt5 = Fraction(isqrt(5 * 10 ** 80), 10 ** 40)
     for x in _samples(random.Random(7)):
-        if isinstance(x, GoldenScalar):
-            assert _to_fraction(x) == x.a + x.b * sqrt5
+        assert Fraction(*_approximation(x)) == x.a + x.b * sqrt5
 
 
 def test_decimal_str_matches_digit_loop():
@@ -56,13 +61,15 @@ def test_decimal_str_matches_digit_loop():
     values = list(_samples(rng))
     assert len(values) >= 10 ** 4
     for x in values:
-        assert decimal_str(x) == decimal_str_reference(_to_fraction(x)), x
+        assert decimal_str(x) == \
+            decimal_str_reference(Fraction(*_approximation(x))), x
     # the samples reach every branch of the reference: carries, ties,
     # large and small exponents, zero
-    assert decimal_str(Fraction(9999999999995, 10 ** 12)) == "10"
-    assert decimal_str(Fraction(10 ** 12 + 5)) == "1000000000000"
-    assert decimal_str(Fraction(10 ** 12 + 15)) == "1000000000020"
-    assert decimal_str(Fraction(-1, 3)) == "-0.333333333333"
+    g = GoldenScalar
+    assert decimal_str(g(Fraction(9999999999995, 10 ** 12))) == "10"
+    assert decimal_str(g(10 ** 12 + 5)) == "1000000000000"
+    assert decimal_str(g(10 ** 12 + 15)) == "1000000000020"
+    assert decimal_str(g(Fraction(-1, 3))) == "-0.333333333333"
     assert decimal_str(GoldenScalar(0, 1)) == "2.2360679775"
 
 

@@ -13,7 +13,7 @@ from arrlab.arrangement import (
     default_decone_index,
 )
 from arrlab.cells import Corner, corner_automorphisms, gamma_of
-from arrlab.falk import build_constraints, solve, verify
+from arrlab.falk import _orbit_system, build_constraints, solve, verify
 from arrlab.scalar import RATIONAL
 
 from oracles import (
@@ -143,7 +143,7 @@ def test_reduced_and_unreduced_solves_agree():
 
 def test_lid_reduced_solves_keep_the_optima(gamma_lid, lid_group,
                                             lid_solution_equality_min):
-    system = build_constraints(gamma_lid, symmetry=lid_group)
+    system = _orbit_system(build_constraints(gamma_lid), lid_group)
     assert (len(system.variables), len(system.rows)) == (18, 41)
     full = solve(gamma_lid, minimize_total=True)
     for kw, unreduced, optimum in (
