@@ -74,7 +74,6 @@ from .scalar import (
     SQRT5,
     format_scalar,
     parse_scalar,
-    sign,
 )
 
 __version__ = "0.1.0"

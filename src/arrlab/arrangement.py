@@ -21,6 +21,7 @@ arrangement.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from types import MappingProxyType
@@ -130,6 +131,18 @@ class CentralPlane:
         return (self.n1, self.n2, self.n3)
 
 
+def _in_field(cell, cls, coeffs, field):
+    """``cell`` (a ``cls`` or a coefficient triple) as a ``cls`` over
+    ``field``.  A ``cls`` whose coefficients are already GoldenScalars was
+    normalized in exact arithmetic, so it is kept as it is once they fit
+    the field; anything else is coerced and normalized."""
+    if not isinstance(cell, cls):
+        return cls(*(coerce_scalar(c, field) for c in cell))
+    old = coeffs(cell)
+    new = tuple(coerce_scalar(c, field) for c in old)
+    return cell if all(map(operator.is_, new, old)) else cls(*new)
+
+
 EDGE = "edge"
 DIAGONAL = "diagonal"
 
@@ -142,11 +155,8 @@ class LineArrangement:
     field: str = RATIONAL
 
     def __post_init__(self):
-        lines = tuple(
-            AffineLine(*(coerce_scalar(c, self.field) for c in ln.coeffs()))
-            if isinstance(ln, AffineLine)
-            else AffineLine(*(coerce_scalar(c, self.field) for c in ln))
-            for ln in self.lines)
+        lines = tuple(_in_field(ln, AffineLine, AffineLine.coeffs, self.field)
+                      for ln in self.lines)
         if len(set(lines)) != len(lines):
             raise ArrangementError("duplicate line after normalization")
         object.__setattr__(self, "lines", lines)
@@ -198,9 +208,7 @@ class CentralArrangement:
 
     def __post_init__(self):
         planes = tuple(
-            CentralPlane(*(coerce_scalar(c, self.field) for c in pl.normal()))
-            if isinstance(pl, CentralPlane)
-            else CentralPlane(*(coerce_scalar(c, self.field) for c in pl))
+            _in_field(pl, CentralPlane, CentralPlane.normal, self.field)
             for pl in self.planes)
         if len(set(planes)) != len(planes):
             raise ArrangementError("duplicate plane after normalization")
@@ -316,7 +324,7 @@ def parse_arrangement(text: str):
     CentralArrangement (exactly one kind of row may appear)."""
     field = None
     kind = None
-    rows = []
+    cells = {}  # cell -> the number of the line that gave it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -345,13 +353,13 @@ def parse_arrangement(text: str):
                 *(parse_scalar(t, field) for t in tokens[1:]))
         except (ScalarError, ArrangementError) as exc:
             raise ParseError(str(exc), lineno) from exc
-        if cell in (c for _, c in rows):
+        if cell in cells:
             raise ParseError(f"duplicate {kind} (after normalization)",
                              lineno)
-        rows.append((lineno, cell))
+        cells[cell] = lineno
     if field is None:
         raise ParseError("empty arrangement file", 1)
-    cells = tuple(c for _, c in rows)
+    cells = tuple(cells)
     if kind == "plane":
         return CentralArrangement(cells, field)
     return LineArrangement(cells, field)

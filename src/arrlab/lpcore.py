@@ -155,12 +155,20 @@ class _Tableau:
     entry there and ``g = gcd(piv, f)``, the row becomes
     ``(piv/g) * row - (f/g) * pivot row`` and its scale
     ``(piv/g) * scale``; then it is divided by the gcd of its entries, rhs
-    and scale.  The exact rows are the same as with the plain products, and
-    ``piv/g`` is mostly 1, so most rows are not multiplied at all.
-    ``cols[j]`` holds the rows with a nonzero in column j, so a pivot
-    touches only those rows.  The reduced costs are one integer row ``red``
-    over the positive ``red_scale``, updated the same way.  A pivot on a
-    row whose rhs is 0 moves no basic value and is counted in
+    and scale, which is looked for only when ``gcd(rhs, scale) > 1``.  The
+    exact rows are the same as with the plain products, and ``piv/g`` is
+    mostly 1, so most rows are not multiplied at all.  ``cols[j]`` holds
+    the rows with a nonzero in column j, so a pivot touches only those
+    rows, and one loop in ``_pivot`` does the whole update of a row.
+
+    The reduced costs are one integer row ``red`` over the positive
+    ``red_scale``, built from ints alone over the lcm of the cost
+    denominators and the costed rows' scales, and updated by each pivot
+    like a row.  That update multiplies ``red`` by ``piv/g > 0`` and
+    changes only the columns of the pivot row, so only those can change
+    sign: ``neg``, the set of columns with a negative reduced cost, is
+    kept up to date there, and Bland's entering column is ``min(neg)``.
+    A pivot on a row whose rhs is 0 moves no basic value and is counted in
     ``degenerate_pivots``.
     Only signs and cross-multiplied ratios are compared, so Bland's rule
     makes the same pivots as it would on the exact rows.
@@ -204,17 +212,22 @@ class _Tableau:
         self._rebuild_objective()
 
     def _rebuild_objective(self):
-        # reduced costs z_j = c_j - sum over rows of c_basis * T[r][j]
-        red = {j: Fraction(c) for j, c in enumerate(self.cost[:self.ncols])
-               if c}
-        for r, b in enumerate(self.basis):
-            cb = self.cost[b]
-            if cb:
-                f = Fraction(cb, self.scale[r])
-                for j, v in self.rows[r].items():
-                    red[j] = red.get(j, 0) - f * v
-        self.red_scale = math.lcm(*(z.denominator for z in red.values()))
-        self.red = {j: int(z * self.red_scale) for j, z in red.items() if z}
+        # reduced costs z_j = c_j - sum over rows of c_basis * T[r][j],
+        # times the common denominator d of every term
+        cost, scale = self.cost, self.scale
+        costed = [(r, cost[b]) for r, b in enumerate(self.basis) if cost[b]]
+        d = math.lcm(*(c.denominator for c in cost if c),
+                     *(c.denominator * scale[r] for r, c in costed))
+        red = {j: c.numerator * (d // c.denominator)
+               for j, c in enumerate(cost[:self.ncols]) if c}
+        for r, c in costed:
+            k = c.numerator * (d // (c.denominator * scale[r]))
+            for j, v in self.rows[r].items():
+                red[j] = red.get(j, 0) - k * v
+        g = math.gcd(d, *red.values())
+        self.red_scale = d // g
+        self.red = {j: z // g for j, z in red.items() if z}
+        self.neg = {j for j, z in self.red.items() if z < 0}
 
     def objective_value(self):
         return sum((Fraction(self.cost[b] * self.rhs[r], self.scale[r])
@@ -224,46 +237,100 @@ class _Tableau:
     def _pivot(self, r, col):
         rows, rhs, scale, cols = self.rows, self.rhs, self.scale, self.cols
         row = rows[r]
-        if row[col] < 0:  # only when driving out an artificial
+        b, piv = rhs[r], row[col]
+        if piv < 0:  # only when driving out an artificial
             for j in row:
                 row[j] = -row[j]
-            rhs[r] = -rhs[r]
-        if not rhs[r]:
+            b, piv = -b, -piv
+        if not b:
             self.degenerate_pivots += 1
-        rhs[r], scale[r] = _reduce(row, rhs[r], row[col])
-        b, piv = rhs[r], scale[r]
+        # the row stays primitive over its new scale piv: a row's entries
+        # and rhs alone have gcd 1, as its scale is one of its entries
+        # (that of its basic column, or -scale on the surplus of its basic
+        # artificial)
+        rhs[r], scale[r] = b, piv
+        # the pivot row's entries off column col; every other row loses
+        # its entry in column col outright
+        pairs = [(j, v) for j, v in row.items() if j != col]
         others = cols[col]
         cols[col] = {r}
+        # each other row with an entry in column col becomes
+        # p * row - q * pivot row, with p = piv/g and q = f/g
         for rr in others:
-            if rr != r:
-                target = rows[rr]
-                f = target[col]
-                g = math.gcd(piv, f)
-                p, q = piv // g, f // g
-                added, removed = _combine(target, p, q, row)
-                for j in added:
-                    cols[j].add(rr)
-                for j in removed:
-                    cols[j].discard(rr)
-                rhs[rr], scale[rr] = _reduce(
-                    target, p * rhs[rr] - q * b, p * scale[rr])
-        f = self.red.get(col)
-        if f:
+            if rr == r:
+                continue
+            target = rows[rr]
+            f = target.pop(col)
             g = math.gcd(piv, f)
-            _combine(self.red, piv // g, f // g, row)
-            _, self.red_scale = _reduce(self.red, 0,
-                                        piv // g * self.red_scale)
+            q = f // g
+            if g == piv:
+                b2, s2 = rhs[rr] - q * b, scale[rr]
+            else:
+                p = piv // g
+                for j in target:
+                    target[j] *= p
+                b2, s2 = p * rhs[rr] - q * b, p * scale[rr]
+            for j, v in pairs:
+                w = target.get(j)
+                if w is None:
+                    target[j] = -q * v
+                    cols[j].add(rr)
+                else:
+                    w -= q * v
+                    if w:
+                        target[j] = w
+                    else:
+                        del target[j]
+                        cols[j].discard(rr)
+            g = math.gcd(b2, s2)
+            if g > 1:
+                g = math.gcd(g, *target.values())
+                if g > 1:
+                    for j in target:
+                        target[j] //= g
+                    b2 //= g
+                    s2 //= g
+            rhs[rr], scale[rr] = b2, s2
+        red = self.red
+        f = red.pop(col, 0)
+        if f:
+            neg = self.neg
+            neg.discard(col)
+            g = math.gcd(piv, f)
+            q = f // g
+            s2 = self.red_scale
+            if g != piv:
+                p = piv // g
+                for j in red:
+                    red[j] *= p
+                s2 *= p
+            for j, v in pairs:
+                w = red.get(j, 0) - q * v
+                if w:
+                    red[j] = w
+                    if w < 0:
+                        neg.add(j)
+                    else:
+                        neg.discard(j)
+                else:
+                    del red[j]
+                    neg.discard(j)
+            if s2 > 1:
+                g = math.gcd(s2, *red.values())
+                if g > 1:
+                    for j in red:
+                        red[j] //= g
+                    s2 //= g
+            self.red_scale = s2
         self.basis[r] = col
         self.pivots += 1
 
     def run(self):
         """Bland's rule simplex on the current cost; returns 'optimal' or
         'unbounded'."""
-        rows, rhs, basis = self.rows, self.rhs, self.basis
-        while True:
-            col = min((j for j, z in self.red.items() if z < 0), default=None)
-            if col is None:
-                return "optimal"
+        rows, rhs, basis, neg = self.rows, self.rhs, self.basis, self.neg
+        while neg:
+            col = min(neg)
             # the ratio of row r is rhs[r] / a; ties go to the lower basis id
             best = None
             for r in self.cols[col]:
@@ -274,6 +341,7 @@ class _Tableau:
             if best is None:
                 return "unbounded"
             self._pivot(best, col)
+        return "optimal"
 
     def witness(self, nvars):
         x = [Fraction(0)] * nvars
@@ -281,43 +349,6 @@ class _Tableau:
             if b < nvars:
                 x[b] = Fraction(self.rhs[r], self.scale[r])
         return tuple(x)
-
-
-def _combine(target, p, q, row):
-    """Set the sparse row ``target`` to ``p * target - q * row`` in place;
-    return the columns that became nonzero and those that became zero."""
-    if p != 1:
-        for j in target:
-            target[j] *= p
-    added = []
-    removed = []
-    for j, v in row.items():
-        w = target.get(j)
-        if w is None:
-            target[j] = -q * v
-            added.append(j)
-            continue
-        w -= q * v
-        if w:
-            target[j] = w
-        else:
-            del target[j]
-            removed.append(j)
-    return added, removed
-
-
-def _reduce(entries, rhs, scale):
-    """Divide ``entries`` in place, ``rhs`` and ``scale`` by their gcd;
-    return the new rhs and scale."""
-    g = math.gcd(rhs, scale)
-    if g > 1:
-        g = math.gcd(g, *entries.values())
-        if g > 1:
-            for j in entries:
-                entries[j] //= g
-            rhs //= g
-            scale //= g
-    return rhs, scale
 
 
 def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
@@ -341,9 +372,10 @@ def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
     if lp.objective is None:
         return result(FEASIBLE, witness=tab.witness(lp.nvars))
     # phase 2: drive out lingering basic artificials (on the first nonzero
-    # column of their row), then minimize
+    # column of their row, which holds at least the artificial's surplus
+    # column), then minimize
     for r in range(tab.m):
-        if tab.basis[r] >= tab.ncols and tab.rows[r]:
+        if tab.basis[r] >= tab.ncols:
             tab._pivot(r, min(tab.rows[r]))
     tab.cost = list(lp.objective) + [0] * (len(tab.cost) - lp.nvars)
     tab._rebuild_objective()

@@ -28,6 +28,7 @@ meaning ``p/q + (r/s)*sqrt(5)``.  No whitespace inside a token.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -35,19 +36,12 @@ RATIONAL = "rational"
 GOLDEN = "golden"
 FIELDS = (RATIONAL, GOLDEN)
 
+# the prime modulus of Python's numeric hash
+_HASH_MODULUS = sys.hash_info.modulus
+
+
 class ScalarError(ValueError):
     """Malformed scalar literal or field mismatch."""
-
-
-def sign(x) -> int:
-    """Exact sign of a scalar: -1, 0 or +1."""
-    if isinstance(x, GoldenScalar):
-        return x.sign()
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
 
 
 def _sign_of_pair(a, b) -> int:
@@ -207,8 +201,18 @@ class GoldenScalar:
     def __hash__(self):
         if self._q:
             return hash((self._p, self._q, self._d))
-        # must agree with Fraction's hash when the value is rational
-        return hash(self._p if self._d == 1 else Fraction(self._p, self._d))
+        # must agree with the hash of the equal int or Fraction: Python's
+        # documented rational hash, |p| / d mod P with p's sign, -1 -> -2
+        p, d = self._p, self._d
+        if d == 1:
+            return hash(p)
+        try:
+            h = abs(p) % _HASH_MODULUS * pow(d, -1, _HASH_MODULUS) \
+                % _HASH_MODULUS
+        except ValueError:  # P divides d
+            h = sys.hash_info.inf
+        h = h if p >= 0 else -h
+        return -2 if h == -1 else h
 
     def _cmp(self, other):
         # the sign of self - other, from the cross-multiplied difference;

@@ -6,16 +6,17 @@ subset alternating sum, factorizations by trying every assignment, LP
 feasibility by Fourier-Motzkin elimination, circuit multiplicities by
 literally walking the circuit, chamber wall counts by sign-vector
 enumeration, SVG decimals by a digit loop over Fractions, LP results by
-the dense Fraction simplex tableau, witnesses, Farkas certificates and
+the dense Fraction simplex tableau, the sparse tableau's reduced costs
+by Fraction sums, witnesses, Farkas certificates and
 weight systems by evaluating each row in Fractions, ranks by Gaussian elimination and
 angular order by cross products, the vertices along each line by sorting
 on dot products, symmetries of the bounded complex by
 line permutations and by point maps of the plane.  Dense constraint rows
 exist only here, built from the library's sparse rows by
 ``dense_coeffs``.  It also holds the
-seeded input generators and the small helpers only tests call: the three-way
-comparison, the Galois conjugate, circuit weight sums and the degree and
-value of an integer polynomial.
+seeded input generators and the small helpers only tests call: the exact
+sign, the three-way comparison, the Galois conjugate, circuit weight sums
+and the degree and value of an integer polynomial.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from arrlab.arrangement import (
     AffineLine,
@@ -47,7 +49,18 @@ from arrlab.lpcore import (
     solve_feasibility,
 )
 from arrlab.poset import IntPolynomial
-from arrlab.scalar import GOLDEN, RATIONAL, GoldenScalar, sign
+from arrlab.scalar import GOLDEN, RATIONAL, GoldenScalar
+
+
+def sign(x) -> int:
+    """Exact sign of an int, Fraction or GoldenScalar: -1, 0 or +1."""
+    if isinstance(x, GoldenScalar):
+        return x.sign()
+    if x > 0:
+        return 1
+    if x < 0:
+        return -1
+    return 0
 
 
 def compare(x, y) -> int:
@@ -651,6 +664,23 @@ class DenseTableau:
             if b < nvars:
                 x[b] = self.rhs[r]
         return tuple(x)
+
+
+def fraction_reduced_costs(tab) -> tuple:
+    """The reduced costs of the sparse ``lpcore._Tableau`` rebuilt from its
+    cost, basis and scaled rows with Fractions, as ``(red, red_scale)``:
+    the nonzero entries as ints over the least positive common
+    denominator, the form that the tableau keeps up to date."""
+    # z_j = c_j - sum over rows of c_basis * T[r][j]
+    red = {j: Fraction(c) for j, c in enumerate(tab.cost[:tab.ncols]) if c}
+    for r, b in enumerate(tab.basis):
+        cb = tab.cost[b]
+        if cb:
+            f = Fraction(cb, tab.scale[r])
+            for j, v in tab.rows[r].items():
+                red[j] = red.get(j, 0) - f * v
+    red_scale = lcm(*(z.denominator for z in red.values()))
+    return {j: int(z * red_scale) for j, z in red.items() if z}, red_scale
 
 
 def dense_simplex_reference(lp: StandardFormLP) -> FeasibilityResult:

@@ -1,3 +1,4 @@
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -23,9 +24,9 @@ from arrlab.arrangement import (
     serialize_arrangement,
 )
 from arrlab.poset import intersection_poset, poincare_polynomial
-from arrlab.scalar import GOLDEN, GoldenScalar, PHI, RATIONAL, sign
+from arrlab.scalar import GOLDEN, GoldenScalar, PHI, RATIONAL, ScalarError
 
-from oracles import essential_random_line_arrangement, matrix_rank
+from oracles import essential_random_line_arrangement, matrix_rank, sign
 
 
 def poset_signature(poset):
@@ -241,6 +242,33 @@ def test_parse_comments_and_blanks():
 def test_parse_duplicate_rejected():
     with pytest.raises(ParseError):
         parse_arrangement("field rational\nline 1 0 0\nline 1 0 0\n")
+    # equal after normalization, reported on the later line
+    with pytest.raises(ParseError) as err:
+        parse_arrangement("field golden\nplane 0 1 0\nplane 1 0 0\n"
+                          "# a comment\nplane 0 2 0\n")
+    assert err.value.lineno == 5
+    assert str(err.value) == "line 5: duplicate plane (after normalization)"
+
+
+@pytest.mark.parametrize("cls, text", [
+    (AffineLine, "field golden\nline 2 4 1~1\nline 0 3 1/2\nline 1 1 1\n"),
+    (CentralPlane, "field golden\nplane 0 1 1/2~1/2\nplane 2 0 0\n"
+                   "plane 1 1 1\n"),
+], ids=["lines", "planes"])
+def test_parse_builds_each_cell_once(monkeypatch, cls, text):
+    built = []
+    post_init = cls.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    arr = parse_arrangement(text)
+    cells = arr.planes if cls is CentralPlane else arr.lines
+    assert len(built) == 3 and all(map(operator.is_, built, cells))
+    # kept cells are still checked against the field
+    with pytest.raises(ScalarError):
+        type(arr)(cells, RATIONAL)
 
 
 def test_parse_zero_normal_rejected():

@@ -29,7 +29,7 @@ from arrlab.cells import (
     is_simplicial,
 )
 from arrlab.poset import intersection_poset
-from arrlab.scalar import RATIONAL, sign
+from arrlab.scalar import RATIONAL
 
 from oracles import (
     chamber_wall_counts,
@@ -38,6 +38,7 @@ from oracles import (
     golden_line_arrangement,
     line_orders_by_sort,
     poly_value,
+    sign,
 )
 
 F = Fraction

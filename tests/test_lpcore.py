@@ -28,6 +28,7 @@ from oracles import (
     dense_simplex_reference,
     essential_random_line_arrangement,
     fourier_motzkin_feasible,
+    fraction_reduced_costs,
     random_lp,
     sparse_coeffs,
 )
@@ -355,7 +356,8 @@ def test_sparse_rows_are_primitive_scalings_of_the_dense_rows():
         assert tab.basis == dense.basis and tab.pivots == dense.pivots
         for r, row in enumerate(tab.rows):
             s = tab.scale[r]
-            assert s > 0 and math.gcd(s, tab.rhs[r], *row.values()) == 1
+            # primitive even without the scale, which is one of the entries
+            assert s > 0 and math.gcd(tab.rhs[r], *row.values()) == 1
             assert 0 not in row.values()
             assert [F(row.get(j, 0), s) for j in range(tab.ncols)] \
                 == dense.rows[r]
@@ -368,8 +370,11 @@ def test_sparse_rows_are_primitive_scalings_of_the_dense_rows():
 
 
 def _census_shape_digest():
+    """The digest of the 40 results, the total pivots and the total
+    degenerate pivots."""
     rng = random.Random(13)
     digest = hashlib.sha256()
+    pivots = degenerate = 0
     for _ in range(20):
         arr = essential_random_line_arrangement(rng, 9, coeff_range=6)
         gamma = bounded_complex(build_complex(arr))
@@ -377,7 +382,9 @@ def _census_shape_digest():
             res = solve(gamma, minimize_total=minimize_total).lp_result
             assert 0 <= res.degenerate_pivots <= res.pivots
             digest.update(f"{res.pivots} {_result_line(res)}".encode())
-    return digest.hexdigest()
+            pivots += res.pivots
+            degenerate += res.degenerate_pivots
+    return digest.hexdigest(), pivots, degenerate
 
 
 # SHA-256 of the weight LP results, pivot counts included, of 20 seeded
@@ -389,7 +396,40 @@ CENSUS_SHAPE_RESULTS_SHA256 = \
 
 
 def test_census_shape_results_digest():
-    assert _census_shape_digest() == CENSUS_SHAPE_RESULTS_SHA256
+    assert _census_shape_digest() == (CENSUS_SHAPE_RESULTS_SHA256,
+                                      10428, 6838)
+
+
+def test_reduced_costs_and_bland_candidates_after_every_pivot(monkeypatch):
+    # after each rebuild and each pivot, on random, Fraction and weight
+    # LPs, phase 2 included: neg holds exactly the columns with a negative
+    # reduced cost, the integer red over red_scale is the Fraction
+    # rebuild, and each row is primitive without its scale, so a pivot
+    # row needs no division
+    checked = []
+
+    def checked_after(method):
+        def checked_call(tab, *args):
+            method(tab, *args)
+            assert tab.neg == {j for j, z in tab.red.items() if z < 0}
+            assert (tab.red, tab.red_scale) == fraction_reduced_costs(tab)
+            assert all(math.gcd(b, *row.values()) == 1
+                       for b, row in zip(tab.rhs, tab.rows))
+            checked.append(method.__name__)
+        monkeypatch.setattr(_Tableau, method.__name__, checked_call)
+    checked_after(_Tableau._pivot)
+    checked_after(_Tableau._rebuild_objective)
+    rng = random.Random(17)
+    lps = [make(rng) for make in (random_lp, _fraction_lp) for _ in range(30)]
+    for _ in range(3):
+        arr = essential_random_line_arrangement(rng, 7, coeff_range=6)
+        lps.append(solve(bounded_complex(build_complex(arr))).lp)
+    for lp in lps:
+        objective = tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
+                          for _ in range(lp.nvars))
+        for case in (lp, replace(lp, objective=objective)):
+            solve_feasibility(case)
+    assert checked.count("_pivot") > 1000
 
 
 def _near_misses(res, rng):

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -29,10 +30,9 @@ from arrlab.scalar import (
     coerce_scalar,
     format_scalar,
     parse_scalar,
-    sign,
 )
 
-from oracles import compare, golden_conjugate
+from oracles import compare, golden_conjugate, sign
 
 fractions_st = st.fractions(min_value=-50, max_value=50,
                             max_denominator=20)
@@ -88,6 +88,39 @@ def test_hash_agrees_with_fraction_when_rational():
     assert hash(GoldenScalar(Fraction(7, 3), 0)) == hash(Fraction(7, 3))
     assert GoldenScalar(Fraction(7, 3), 0) == Fraction(7, 3)
     assert GoldenScalar(2, 0) == 2
+
+
+HASH_P = sys.hash_info.modulus
+# integers around the hash modulus P and its multiples, where the
+# reduction mod P and the inverse of the denominator mod P turn over
+near_p_st = st.sampled_from([1, 2, HASH_P - 1, HASH_P, HASH_P + 1,
+                             2 * HASH_P, HASH_P * HASH_P]).flatmap(
+    lambda base: st.integers(base - 2, base + 2).filter(lambda n: n > 0))
+
+
+@given(st.one_of(st.integers(-10**30, 10**30), near_p_st,
+                 near_p_st.map(operator.neg)),
+       st.one_of(st.just(1), st.integers(1, 10**30), near_p_st))
+@settings(deadline=None)
+def test_rational_hash_matches_fraction(p, d):
+    x = Fraction(p, d)
+    assert hash(GoldenScalar(x)) == hash(x)
+
+
+def test_rational_hash_builds_no_fraction(monkeypatch):
+    # signed values, d = 1, -1 (whose hash is -2), and values whose
+    # numerator or denominator is a multiple of P or next to one
+    values = [Fraction(p, d) for p in (0, 1, -1, 7, -7, HASH_P - 1, HASH_P,
+                                       -HASH_P, HASH_P + 1, -2 * HASH_P - 1)
+              for d in (1, 3, HASH_P - 1, HASH_P, HASH_P + 1, 3 * HASH_P)]
+    scalars = [GoldenScalar(x) for x in values]
+    expected = [hash(x) for x in values]
+    assert -2 in expected and sys.hash_info.inf in expected
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+    monkeypatch.setattr(arrlab.scalar, "Fraction", no_fraction)
+    assert [hash(x) for x in scalars] == expected
 
 
 def test_no_float_mixing():
