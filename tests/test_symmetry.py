@@ -1,5 +1,6 @@
 """The symmetry group of the cell complex and the solve over its orbits."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -169,3 +170,49 @@ def test_generic3_equality_optimum_is_a_third_per_corner():
     result = solve(gam, equality_asphericity=True, minimize_total=True,
                    symmetry=corner_automorphisms(gam))
     assert result.weights == {Corner(v, 0): F(1, 3) for v in range(3)}
+
+
+def _permutations_text(gamma, group):
+    """Each corner permutation as ``(vertex,face)->(vertex,face)`` lines in
+    ``gamma.corners`` order, permutations in list order."""
+    return "".join(
+        f"perm {n}\n" + "".join(
+            f"({c.vertex},{c.face})->({perm[c].vertex},{perm[c].face})\n"
+            for c in gamma.corners)
+        for n, perm in enumerate(group))
+
+
+def _system_text(system):
+    """Variables, orbits and tagged rows of a ConstraintSystem, one per
+    line."""
+    lines = [f"var ({c.vertex},{c.face})" for c in system.variables]
+    lines += ["orbit " + " ".join(f"({c.vertex},{c.face})" for c in orbit)
+              for orbit in system.orbits]
+    lines += [f"row {r.coeffs} {r.rel} {r.rhs} {r.tag}" for r in system.rows]
+    return "".join(line + "\n" for line in lines)
+
+
+# corner_automorphisms on these sections, with the order of its list
+AUTOMORPHISMS_SHA256 = (
+    "da76fc39008905260b38073c9cd64466808d358ad0cff0d79b04918f29c3f586")
+# _orbit_system of the icosidodecahedral section, plain and with = rows
+ORBIT_SYSTEMS_SHA256 = (
+    "a2dd007dc1478c0372d7ed75d8abb92441655ef1a23361c8515ce5f0e10f4a0a")
+
+
+def test_automorphism_lists_are_pinned():
+    digest = hashlib.sha256()
+    for arr in [section(n) for n in ("icosidodecahedral", "A3", "B3", "H3")
+                ] + [interior_square()]:
+        gam = gamma_of(arr)
+        digest.update(
+            _permutations_text(gam, corner_automorphisms(gam)).encode())
+    assert digest.hexdigest() == AUTOMORPHISMS_SHA256
+
+
+def test_icosidodecahedral_orbit_systems_are_pinned(gamma_lid, lid_group):
+    digest = hashlib.sha256()
+    for eq in (False, True):
+        full = build_constraints(gamma_lid, equality_asphericity=eq)
+        digest.update(_system_text(_orbit_system(full, lid_group)).encode())
+    assert digest.hexdigest() == ORBIT_SYSTEMS_SHA256
