@@ -394,8 +394,7 @@ def corner_automorphisms(gamma: BoundedComplex):
     base = 0
     images = [vid for vid, ring in enumerate(rings)
               if len(ring) == len(rings[base])]
-    sector = {Corner(vid, cx.sector_face(vid, i)): i
-              for vid, ring in enumerate(rings) for i in range(len(ring))}
+    table = None
     found = []
     for image in images:
         for k in range(len(steps[base])):
@@ -405,13 +404,29 @@ def corner_automorphisms(gamma: BoundedComplex):
                 vmap = _propagate(steps, base, image, k, eps)
                 if vmap is None:
                     continue
+                if table is None:  # a trivial group never builds it
+                    table, sectors = _sector_corners(gamma, rings)
                 perm = {}
-                for c in gamma.corners:
+                for c, s in zip(gamma.corners, sectors):
                     w, kv = vmap[c.vertex]
-                    i = (kv + sector[c]) if eps == 1 else (kv - sector[c] - 1)
-                    perm[c] = Corner(w, cx.sector_face(w, i % len(steps[w])))
+                    ring = table[w]
+                    i = (kv + s) if eps == 1 else (kv - s - 1)
+                    perm[c] = ring[i % len(ring)]
                 found.append(perm)
     return found
+
+
+def _sector_corners(gamma, rings):
+    """(table, sectors): ``table[v][i]`` is gamma's corner in sector i at
+    vertex v (None where that face is unbounded) and ``sectors[n]`` the
+    sector of the n-th corner of ``gamma.corners``."""
+    cx = gamma.complex
+    corner_of = {(c.vertex, c.face): c for c in gamma.corners}
+    table = [[corner_of.get((vid, cx.sector_face(vid, i)))
+              for i in range(len(ring))] for vid, ring in enumerate(rings)]
+    sector = {c: i for row in table for i, c in enumerate(row)
+              if c is not None}
+    return table, [sector[c] for c in gamma.corners]
 
 
 def _propagate(steps, base, image, k, eps):

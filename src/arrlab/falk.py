@@ -36,11 +36,13 @@ that become equal, which restricts the search to symmetric weight
 systems.  That loses nothing: each permutation, applied to the corner
 indices, must map the unreduced rows onto themselves (checked, else
 SymmetryError), so averaging a solution over the group gives an
-orbit-constant one with the same total weight.  ``solve`` builds the
-unreduced system once, reduces it, re-checks the LP's witness or Farkas
-certificate, and checks a feasible orbit solution, expanded to every
-corner, against the unreduced system; an infeasible one's Farkas
-certificate is over the orbit rows.
+orbit-constant one with the same total weight.  Each permutation is
+checked directly or as a product of checked ones: only a kept subset maps
+the rows, and every other permutation is a composition of kept ones.
+``solve`` builds the unreduced system once, reduces it, re-checks the
+LP's witness or Farkas certificate, and checks a feasible orbit solution,
+expanded to every corner, against the unreduced system; an infeasible
+one's Farkas certificate is over the orbit rows.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def _orbit_system(system, symmetry):
     corners = system.variables
     perms = _index_permutations(corners, symmetry)
     roots, orbits, orbit_of = _corner_orbits(len(corners), perms)
-    _check_symmetry_invariance(system.rows, perms)
+    _check_symmetry_invariance(system.rows, _kept_permutations(perms))
     rows = []
     for row in system.rows:
         acc = {}
@@ -205,12 +207,12 @@ def _orbit_system(system, symmetry):
 
 
 def _index_permutations(corners, symmetry):
-    """Each corner permutation as the list of the images of the corner
+    """Each corner permutation as the tuple of the images of the corner
     indices; SymmetryError unless it is a bijection on ``corners``."""
     index = {c: i for i, c in enumerate(corners)}
     out = []
     for perm in symmetry:
-        image = [index.get(perm.get(c)) for c in corners]
+        image = tuple(index.get(perm.get(c)) for c in corners)
         if (len(perm) != len(corners) or None in image
                 or len(set(image)) != len(image)):
             raise SymmetryError("permutation is not a bijection on corners")
@@ -222,7 +224,10 @@ def _corner_orbits(n, perms):
     """(roots, orbits, orbit of each index) of the group the index
     permutations generate on range(n).  Each orbit is listed by ascending
     index and represented by its union-find root; orbits are in the order
-    of their roots."""
+    of their roots.  The partition depends only on the group, but the
+    roots depend on the order of ``perms``: the same group listed in
+    another order can pick other representatives, and so give the reduced
+    LP another column order and Bland's rule another pivot path."""
     parent = list(range(n))
 
     def find(i):
@@ -247,9 +252,44 @@ def _corner_orbits(n, perms):
     return roots, tuple(members[r] for r in roots), orbit_of
 
 
+def _kept_permutations(perms):
+    """The index permutations the invariance check runs on: ``perms`` in
+    order, less each one that is already a product of kept ones.
+
+    A permutation counts as such a product when the kept ones reach it
+    from the identity by composition without leaving the set of
+    ``perms``: every element reached is composed once with every kept
+    permutation, so there are at most (len(perms) + 1) * len(kept)
+    compositions, and no permutation outside ``perms`` is kept.  A
+    product of permutations that preserve the rows preserves them too, so
+    checking the kept ones covers every one of ``perms`` (C. Sims,
+    "Computational methods in the study of permutation groups", 1970).
+    """
+    supplied = set(perms)
+    kept = []
+    # reached element -> how many kept permutations it was composed with
+    reached = {tuple(range(len(perms[0]))): 0} if perms else {}
+    for perm in perms:
+        if perm in reached:
+            continue
+        kept.append(perm)
+        stack = list(reached)
+        while stack:
+            e = stack.pop()
+            for g in kept[reached[e]:]:
+                ge = tuple(map(g.__getitem__, e))
+                if ge in supplied and ge not in reached:
+                    reached[ge] = 0
+                    stack.append(ge)
+            reached[e] = len(kept)
+    return kept
+
+
 def _check_symmetry_invariance(rows, perms):
     """SymmetryError unless each index permutation maps the set of the
-    distinct sparse ``rows`` onto itself."""
+    distinct sparse ``rows`` onto itself.  ``_orbit_system`` passes the
+    kept subset of the supplied permutations; the others are products of
+    these and so preserve the rows as well."""
     keys = {(r.coeffs, r.rel, r.rhs) for r in rows}
     for image in perms:
         for r in rows:

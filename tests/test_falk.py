@@ -321,7 +321,11 @@ def test_bad_symmetry_rejected(gamma_lid, lid_group):
     full = build_constraints(gamma_lid)
     with pytest.raises(SymmetryError):
         _orbit_system(full, [perm])
-    # after the true group, and through solve, it is still rejected
+    # it is never a product of checked permutations: before or after the
+    # true group, and through solve, it is still rejected
+    for perms in ([perm] + lid_group, lid_group + [perm]):
+        with pytest.raises(SymmetryError, match="incidence"):
+            _orbit_system(full, perms)
     with pytest.raises(SymmetryError, match="incidence"):
         solve(gamma_lid, symmetry=lid_group + [perm])
     # a map that sends two corners to one is no permutation at all

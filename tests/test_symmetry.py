@@ -14,7 +14,15 @@ from arrlab.arrangement import (
     default_decone_index,
 )
 from arrlab.cells import Corner, corner_automorphisms, gamma_of
-from arrlab.falk import _orbit_system, build_constraints, solve, verify
+from arrlab import falk
+from arrlab.falk import (
+    _index_permutations,
+    _kept_permutations,
+    _orbit_system,
+    build_constraints,
+    solve,
+    verify,
+)
 from arrlab.scalar import RATIONAL
 
 from oracles import (
@@ -216,3 +224,81 @@ def test_icosidodecahedral_orbit_systems_are_pinned(gamma_lid, lid_group):
         full = build_constraints(gamma_lid, equality_asphericity=eq)
         digest.update(_system_text(_orbit_system(full, lid_group)).encode())
     assert digest.hexdigest() == ORBIT_SYSTEMS_SHA256
+
+
+# _orbit_system of the interior square under its quarter turn, alone and
+# with the half turn in either order
+SQUARE_ROTATION_SYSTEMS_SHA256 = (
+    "a26c6cb43759220730eabf0181fe1f37a913e06880b692456adbead42e00d71a")
+
+
+def test_kept_permutations_stay_inside_the_supplied_set():
+    gam = gamma_of(interior_square())
+    quarter = point_map_permutation(gam, lambda p: (-p[1], p[0]))
+    half = point_map_permutation(gam, lambda p: (-p[0], -p[1]))
+    three = point_map_permutation(gam, lambda p: (p[1], -p[0]))
+    r, r2, r3 = _index_permutations(gam.corners, (quarter, half, three))
+    # the half turn is the square of a kept quarter turn
+    assert _kept_permutations([r, r2]) == [r]
+    # the quarter turn is no power of the half turn
+    assert _kept_permutations([r2, r]) == [r2, r]
+    # r3 = r * r * r, but r * r is not supplied, so r3 is kept
+    assert _kept_permutations([r, r3]) == [r, r3]
+    # sets that are not closed give the systems they gave when every
+    # permutation was checked row by row
+    full = build_constraints(gam)
+    digest = hashlib.sha256()
+    for perms in ([quarter], [quarter, half], [half, quarter]):
+        digest.update(_system_text(_orbit_system(full, perms)).encode())
+    assert digest.hexdigest() == SQUARE_ROTATION_SYSTEMS_SHA256
+
+
+def test_icosidodecahedral_invariance_check_keeps_two_generators(
+        gamma_lid, lid_group, monkeypatch):
+    checked = []
+    check = falk._check_symmetry_invariance
+
+    def counting(rows, perms):
+        checked.append((len(rows), len(perms)))
+        return check(rows, perms)
+
+    monkeypatch.setattr(falk, "_check_symmetry_invariance", counting)
+    solve(gamma_lid, symmetry=lid_group)
+    # 9 * 341 = 3069 row images before, 2 * 341 = 682 now
+    assert len(lid_group) == 9 and checked == [(341, 2)]
+    # the two kept permutations generate all ten elements
+    kept = _kept_permutations(
+        _index_permutations(gamma_lid.corners, lid_group))
+    group = {tuple(range(len(gamma_lid.corners)))}
+    stack = list(group)
+    while stack:
+        e = stack.pop()
+        for g in kept:
+            ge = tuple(g[i] for i in e)
+            if ge not in group:
+                group.add(ge)
+                stack.append(ge)
+    assert len(group) == 10
+
+
+@pytest.mark.parametrize("name", ["icosidodecahedral", "H3"])
+def test_permutation_order_moves_representatives_not_orbits(name):
+    gam = gamma_of(section(name))
+    group = corner_automorphisms(gam)
+    full = build_constraints(gam)
+    system = _orbit_system(full, group)
+    partition = {frozenset(orbit) for orbit in system.orbits}
+    optimum = solve(gam, symmetry=group,
+                    minimize_total=True).lp_result.objective_value
+    moved = 0
+    for shuffled in [group[::-1]] + [
+            random.Random(seed).sample(group, len(group))
+            for seed in range(3)]:
+        other = _orbit_system(full, shuffled)
+        # union-find roots follow the order of the permutations
+        moved += other.variables != system.variables
+        assert {frozenset(orbit) for orbit in other.orbits} == partition
+        result = solve(gam, symmetry=shuffled, minimize_total=True)
+        assert result.lp_result.objective_value == optimum
+        assert verify(gam, result.weights).ok
+    assert moved
