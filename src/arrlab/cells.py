@@ -28,7 +28,7 @@ per component.
 
 The automorphisms of the complex, read as maps of the rotation system of
 germs around the vertices, act on the corners; ``corner_automorphisms``
-lists those corner permutations, which the command line reduces the
+lists those corner permutations, which ``falk.solve`` reduces the
 weight test by.
 """
 

@@ -29,7 +29,6 @@ from .cells import (
     bounded_complex,
     build_complex,
     chamber_walls,
-    corner_automorphisms,
     face_census,
     gamma_of,
     is_simplicial,
@@ -163,7 +162,7 @@ def cmd_analyze(args, out) -> int:
     report.append(("link_census",
                    " ".join(f"{_census_token(*k)}:{lc[k]}"
                             for k in sorted(lc)) or "-"))
-    result = solve(gam, symmetry=corner_automorphisms(gam))
+    result = solve(gam)
     report.append(("falk", result.status.upper()))
     return _print_report(report, out)
 
@@ -256,8 +255,7 @@ def cmd_falk_constraints(args, out) -> int:
 def cmd_falk_solve(args, out) -> int:
     gam = gamma_of(as_line_arrangement(load_arrangement(args.arrangement)))
     result = solve(gam, equality_asphericity=args.equality_asphericity,
-                   minimize_total=args.minimize_total,
-                   symmetry=corner_automorphisms(gam))
+                   minimize_total=args.minimize_total)
     if not result.feasible:
         print("INFEASIBLE", file=out)
         cert = result.lp_result.certificate

@@ -29,20 +29,21 @@ Type (iii) dominates type (iv) termwise, which the tests pin down.
 
 Each condition is one sparse lpcore row: ``(index, coeff)`` pairs over
 the corners in ``gamma.corners`` order, assembled by variable index, and
-the linear program is solved exactly by lpcore.  An optional symmetry
-(corner permutations, such as ``cells.corner_automorphisms``; the CLI
-always passes that group) shrinks the variables to orbits and merges rows
-that become equal, which restricts the search to symmetric weight
-systems.  That loses nothing: each permutation, applied to the corner
-indices, must map the unreduced rows onto themselves (checked, else
-SymmetryError), so averaging a solution over the group gives an
-orbit-constant one with the same total weight.  Each permutation is
-checked directly or as a product of checked ones: only a kept subset maps
-the rows, and every other permutation is a composition of kept ones.
-``solve`` builds the unreduced system once, reduces it, re-checks the
-LP's witness or Farkas certificate, and checks a feasible orbit solution,
-expanded to every corner, against the unreduced system; an infeasible
-one's Farkas certificate is over the orbit rows.
+the linear program is solved exactly by lpcore.  ``solve`` reduces it by
+the complex's own symmetry (``cells.corner_automorphisms``): the
+variables shrink to corner orbits and rows that become equal merge,
+which restricts the search to symmetric weight systems.  That loses
+nothing: each permutation, applied to the corner indices, must map the
+unreduced rows onto themselves (checked, else RuntimeError), so
+averaging a solution over the group gives an orbit-constant one with the
+same total weight.  Each permutation is checked directly or as a product
+of checked ones: only a kept subset maps the rows, and every other
+permutation is a composition of kept ones.  ``solve`` builds the
+unreduced system once, reduces it, re-checks the LP's witness or Farkas
+certificate, and checks a feasible orbit solution, expanded to every
+corner, against the unreduced system; an infeasible one's Farkas
+certificate is over the orbit rows.  ``build_constraints`` and
+``verify`` stay unreduced.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import BoundedComplex, CYCLE, Corner, Link
+from .cells import BoundedComplex, CYCLE, Corner, Link, corner_automorphisms
 from .lpcore import (EQ, FEASIBLE, GE, LE, LPRow, StandardFormLP,
                      check_certificate, solve_feasibility, violated_rows)
 
@@ -148,10 +149,6 @@ class ConstraintSystem:
     rows: tuple
 
 
-class SymmetryError(ValueError):
-    """A supplied corner permutation does not preserve the constraints."""
-
-
 def build_constraints(gamma: BoundedComplex, *,
                       equality_asphericity=False) -> ConstraintSystem:
     """Assemble the full constraint system of the bounded complex.
@@ -186,7 +183,7 @@ def build_constraints(gamma: BoundedComplex, *,
 def _orbit_system(system, symmetry):
     """The unreduced ``system`` over the orbits of ``symmetry``, rows that
     become equal kept once, in order.  Coefficients are accumulated over
-    orbit members; SymmetryError unless the corner permutations leave the
+    orbit members; RuntimeError unless the corner permutations leave the
     unreduced system invariant."""
     corners = system.variables
     perms = _index_permutations(corners, symmetry)
@@ -208,14 +205,14 @@ def _orbit_system(system, symmetry):
 
 def _index_permutations(corners, symmetry):
     """Each corner permutation as the tuple of the images of the corner
-    indices; SymmetryError unless it is a bijection on ``corners``."""
+    indices; RuntimeError unless it is a bijection on ``corners``."""
     index = {c: i for i, c in enumerate(corners)}
     out = []
     for perm in symmetry:
         image = tuple(index.get(perm.get(c)) for c in corners)
         if (len(perm) != len(corners) or None in image
                 or len(set(image)) != len(image)):
-            raise SymmetryError("permutation is not a bijection on corners")
+            raise RuntimeError("permutation is not a bijection on corners")
         out.append(image)
     return out
 
@@ -286,7 +283,7 @@ def _kept_permutations(perms):
 
 
 def _check_symmetry_invariance(rows, perms):
-    """SymmetryError unless each index permutation maps the set of the
+    """RuntimeError unless each index permutation maps the set of the
     distinct sparse ``rows`` onto itself.  ``_orbit_system`` passes the
     kept subset of the supplied permutations; the others are products of
     these and so preserve the rows as well."""
@@ -295,7 +292,7 @@ def _check_symmetry_invariance(rows, perms):
         for r in rows:
             moved = tuple(sorted((image[i], k) for i, k in r.coeffs))
             if (moved, r.rel, r.rhs) not in keys:
-                raise SymmetryError(
+                raise RuntimeError(
                     "permutation does not preserve the corner incidence "
                     "structure of the constraint system")
 
@@ -365,8 +362,10 @@ class SolveResult:
 
 
 def solve(gamma: BoundedComplex, *, equality_asphericity=False,
-          minimize_total=False, symmetry=None) -> SolveResult:
-    """Search for a weight system via exact LP feasibility.
+          minimize_total=False) -> SolveResult:
+    """Search for a weight system via exact LP feasibility over the corner
+    orbits of ``corner_automorphisms(gamma)``; a trivial group leaves the
+    unreduced system as it is.
 
     The LP's witness or Farkas certificate is re-checked by
     ``check_certificate``, and a feasible outcome is a total nonnegative
@@ -379,7 +378,8 @@ def solve(gamma: BoundedComplex, *, equality_asphericity=False,
     all corner weights for small reproducible output.
     """
     full = build_constraints(gamma, equality_asphericity=equality_asphericity)
-    system = _orbit_system(full, symmetry) if symmetry else full
+    group = corner_automorphisms(gamma)
+    system = _orbit_system(full, group) if group else full
     objective = None
     if minimize_total:
         objective = tuple(len(orbit) for orbit in system.orbits)

@@ -7,16 +7,16 @@ feasibility by Fourier-Motzkin elimination, circuit multiplicities by
 literally walking the circuit, chamber wall counts by sign-vector
 enumeration, SVG decimals by a digit loop over Fractions, LP results by
 the dense Fraction simplex tableau, the sparse tableau's reduced costs
-by Fraction sums, witnesses, Farkas certificates and
-weight systems by evaluating each row in Fractions, ranks by Gaussian elimination and
+by Fraction sums, witnesses, Farkas certificates and weight systems by
+evaluating each row in Fractions, the weight LP by solving it over every
+corner without the symmetry reduction, ranks by Gaussian elimination and
 angular order by cross products, the vertices along each line by sorting
-on dot products, symmetries of the bounded complex by
-line permutations and by point maps of the plane.  Dense constraint rows
-exist only here, built from the library's sparse rows by
-``dense_coeffs``.  It also holds the
-seeded input generators and the small helpers only tests call: the exact
-sign, the three-way comparison, the Galois conjugate, circuit weight sums
-and the degree and value of an integer polynomial.
+on dot products, symmetries of the bounded complex by line permutations
+and by point maps of the plane.  Dense constraint rows exist only here,
+built from the library's sparse rows by ``dense_coeffs``.  It also holds
+the seeded input generators and the small helpers only tests call: the
+exact sign, the three-way comparison, the Galois conjugate, circuit
+weight sums and the degree and value of an integer polynomial.
 """
 
 from __future__ import annotations
@@ -34,7 +34,14 @@ from arrlab.arrangement import (
 )
 from arrlab.cells import Corner
 from arrlab.factored import Factorization
-from arrlab.falk import NONNEGATIVITY, VerifyReport, Violation, WeightError
+from arrlab.falk import (
+    NONNEGATIVITY,
+    SolveResult,
+    VerifyReport,
+    Violation,
+    WeightError,
+    build_constraints,
+)
 from arrlab.lpcore import (
     EQ,
     FEASIBLE,
@@ -785,3 +792,30 @@ def check_weights_reference(system, weights) -> VerifyReport:
         if not row_holds(row, lhs):
             violations.append(Violation(row.tag, lhs, row.rel, row.rhs))
     return VerifyReport(not violations, tuple(violations))
+
+
+def solve_system(system, *, minimize_total=False) -> SolveResult:
+    """``system``, a falk ConstraintSystem, solved by ``solve_feasibility``
+    as it stands, the witness spread over each variable's orbit.  The
+    objective weighs a variable by its orbit size, so on an unreduced
+    system it is (1,) * n.  Nothing is re-checked."""
+    objective = None
+    if minimize_total:
+        objective = tuple(len(orbit) for orbit in system.orbits)
+    lp = StandardFormLP(len(system.variables), system.rows,
+                        objective=objective)
+    res = solve_feasibility(lp)
+    weights = None
+    if res.status == FEASIBLE:
+        weights = {c: value for value, orbit in zip(res.witness,
+                                                     system.orbits)
+                   for c in orbit}
+    return SolveResult(res.status, weights, system, lp, res)
+
+
+def unreduced_solve(gamma, *, equality_asphericity=False,
+                    minimize_total=False) -> SolveResult:
+    """The weight LP of ``gamma`` over every corner, with no symmetry
+    reduction: ``build_constraints`` then ``solve_system``."""
+    full = build_constraints(gamma, equality_asphericity=equality_asphericity)
+    return solve_system(full, minimize_total=minimize_total)

@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 import arrlab.poset
-from arrlab.arrangement import LineArrangement
+from arrlab.arrangement import (LineArrangement, builtin, decone,
+                                default_decone_index)
 from arrlab.cli import main, parse_weights, serialize_weights
-from arrlab.cells import Corner
-from arrlab.falk import ConstraintSystem, SolveResult
+from arrlab.cells import Corner, corner_automorphisms, gamma_of
+from arrlab.falk import ConstraintSystem, SolveResult, solve
 from arrlab.lpcore import (GE, INFEASIBLE, LE, FeasibilityResult, LPRow,
                            StandardFormLP, solve_feasibility)
 from arrlab.poset import IntPolynomial
@@ -18,9 +19,9 @@ from oracles import whitney_poincare
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# SHA-256 of the icosidodecahedral weights file written by the library's
-# unreduced solve and by the CLI's solve over symmetry orbits, and of the
-# figure annotated with the former
+# SHA-256 of the icosidodecahedral weights file written from the
+# unreduced solve (tests/oracles.py) and by falk.solve over the symmetry
+# orbits, as the CLI writes it, and of the figure annotated with the former
 ICOSI_WEIGHTS_SHA256 = \
     "2df180cf228185b98fcc00c0594dad02a9a253552af65e99cd818dc84e7740e2"
 ICOSI_CLI_WEIGHTS_SHA256 = \
@@ -301,6 +302,44 @@ def test_falk_solve_checks_farkas_certificate(monkeypatch, capsys):
                        "or Farkas certificate that fails its check\n")
 
 
+def test_non_preserving_permutation_is_an_internal_error(monkeypatch,
+                                                        capsys):
+    # a swap of two corners added to the group fails the invariance check
+    # inside falk.solve: exit 3 and one stderr line, no traceback
+    def with_swap(gam):
+        swap = {c: c for c in gam.corners}
+        a, b = gam.corners[:2]
+        swap[a], swap[b] = b, a
+        return corner_automorphisms(gam) + [swap]
+
+    monkeypatch.setattr("arrlab.falk.corner_automorphisms", with_swap)
+    code, out, err = run_cli(["falk", "solve", "@icosidodecahedral"],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert err == ("arrlab: internal error: permutation does not preserve "
+                   "the corner incidence structure of the constraint "
+                   "system\n")
+
+
+def test_library_and_cli_solve_print_the_same_weights(lid_solution,
+                                                      capsys):
+    assert hashlib.sha256(serialize_weights(
+        lid_solution.weights).encode()).hexdigest() == \
+        ICOSI_CLI_WEIGHTS_SHA256
+    for name in ("icosidodecahedral", "B3", "H3"):
+        arr = builtin(name)
+        gam = gamma_of(decone(arr, default_decone_index(arr)))
+        for flags, kw in (([], {}),
+                          (["--equality-asphericity", "--minimize-total"],
+                           {"equality_asphericity": True,
+                            "minimize_total": True})):
+            code, out, _ = run_cli(["falk", "solve", f"@{name}", *flags],
+                                   capsys)
+            assert code == 0
+            assert out == "FEASIBLE\n" + serialize_weights(
+                solve(gam, **kw).weights)
+
+
 def test_falk_verify_fail_exit_code(tmp_path, capsys):
     # all-ones weights violate the triangle asphericity row: 3 > 1
     weights = {Corner(0, 0): Fraction(1), Corner(1, 0): Fraction(1),
@@ -384,9 +423,9 @@ def test_render_generic3_gamma(tmp_path, capsys):
 
 
 def test_render_with_weights_annotations(tmp_path, capsys, gamma_lid,
-                                        lid_solution):
+                                        lid_unreduced):
     wfile = tmp_path / "w.txt"
-    wfile.write_text(serialize_weights(lid_solution.weights),
+    wfile.write_text(serialize_weights(lid_unreduced.weights),
                      encoding="utf-8")
     assert hashlib.sha256(wfile.read_bytes()).hexdigest() == \
         ICOSI_WEIGHTS_SHA256

@@ -15,7 +15,6 @@ import arrlab.falk as falk
 from arrlab.arrangement import builtin
 from arrlab.cells import CYCLE, Corner, FaceCell, Link, LinkComponent, gamma_of
 from arrlab.falk import (
-    SymmetryError,
     WeightError,
     build_constraints,
     enumerate_circuits,
@@ -32,6 +31,7 @@ from oracles import (
     interior_square,
     point_map_permutation,
     simulate_circuit_walk,
+    solve_system,
 )
 
 F = Fraction
@@ -256,11 +256,12 @@ def test_solve_generic3_zero():
 def test_solve_infeasible_carries_checked_certificate(monkeypatch):
     # a hand-made Gamma with no arrangement behind it: the triangle face 0
     # caps its corner weights at 1, and the one-edge cycle at vertex 0
-    # (m = 2) asks for weight 2 on corner (0,0)
+    # (m = 2) asks for weight 2 on corner (0,0); its empty complex has a
+    # trivial group
     corners = (Corner(0, 0), Corner(1, 0), Corner(2, 0))
     link = Link(0, 2, CYCLE, (LinkComponent((0,), corners[:1]),))
     gam = SimpleNamespace(
-        corners=corners,
+        complex=SimpleNamespace(vertices=()), corners=corners,
         faces=(FaceCell(0, True, (0, 1, 2), (), frozenset()),),
         links=lambda: (link,))
     result = solve(gam)
@@ -307,7 +308,7 @@ def test_symmetry_orbit_reduction():
     full = build_constraints(gam)
     system = _orbit_system(full, [perm])
     assert len(system.variables) < len(full.variables)
-    result = solve(gam, symmetry=[perm])
+    result = solve_system(system)
     assert result.feasible
     assert verify(gam, result.weights).ok
 
@@ -319,23 +320,21 @@ def test_bad_symmetry_rejected(gamma_lid, lid_group):
     a, b = corners[0], corners[1]
     perm[a], perm[b] = b, a
     full = build_constraints(gamma_lid)
-    with pytest.raises(SymmetryError):
+    with pytest.raises(RuntimeError):
         _orbit_system(full, [perm])
     # it is never a product of checked permutations: before or after the
-    # true group, and through solve, it is still rejected
+    # true group it is still rejected
     for perms in ([perm] + lid_group, lid_group + [perm]):
-        with pytest.raises(SymmetryError, match="incidence"):
+        with pytest.raises(RuntimeError, match="incidence"):
             _orbit_system(full, perms)
-    with pytest.raises(SymmetryError, match="incidence"):
-        solve(gamma_lid, symmetry=lid_group + [perm])
     # a map that sends two corners to one is no permutation at all
     perm[a] = a
-    with pytest.raises(SymmetryError, match="not a bijection"):
+    with pytest.raises(RuntimeError, match="not a bijection"):
         _orbit_system(full, [perm])
     # nor is one that misses a corner or names a corner outside Gamma
     for bad in ({c: c for c in corners[1:]},
                 {c: Corner(-1, -1) if c == a else c for c in corners}):
-        with pytest.raises(SymmetryError, match="not a bijection"):
+        with pytest.raises(RuntimeError, match="not a bijection"):
             _orbit_system(full, [bad])
 
 
@@ -370,11 +369,11 @@ def _perturbed(weights, rng, rounds):
 
 
 def test_check_weights_matches_fraction_reference(
-        gamma_lid, lid_solution, lid_solution_equality):
+        gamma_lid, lid_unreduced, lid_unreduced_equality):
     rng = random.Random(19)
-    cases = [(build_constraints(gamma_lid), lid_solution.weights),
+    cases = [(build_constraints(gamma_lid), lid_unreduced.weights),
              (build_constraints(gamma_lid, equality_asphericity=True),
-              lid_solution_equality.weights)]
+              lid_unreduced_equality.weights)]
     for _ in range(6):
         arr = essential_random_line_arrangement(rng, 9, coeff_range=6)
         gam = gamma_of(arr)

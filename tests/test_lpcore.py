@@ -223,29 +223,25 @@ def test_rational_data_survives():
     assert res.objective_value == F(3, 14)
 
 
-def test_icosidodecahedral_pivot_counts(lid_solution, lid_solution_equality,
-                                       lid_solution_equality_min):
-    # Bland's rule on the exact rows: the counts of the dense Fraction
-    # tableau, drive-outs included
-    assert lid_solution.lp_result.pivots == 758
-    assert lid_solution_equality.lp_result.pivots == 1132
-    res = lid_solution_equality_min
-    assert res.lp_result.pivots == 1244
-    assert res.lp_result.objective_value == 58
+def test_icosidodecahedral_pivot_counts(
+        lid_unreduced, lid_unreduced_equality, lid_unreduced_equality_min,
+        lid_solution, lid_solution_equality, lid_solution_equality_min):
+    # Bland's rule on the exact rows over all 150 corners: the counts of
+    # the dense Fraction tableau, drive-outs included
+    unreduced = (lid_unreduced, lid_unreduced_equality,
+                 lid_unreduced_equality_min)
+    assert [s.lp_result.pivots for s in unreduced] == [758, 1132, 1244]
+    assert lid_unreduced_equality_min.lp_result.objective_value == 58
     # of these, the pivots on a row with rhs 0, which move no basic value
-    assert [s.lp_result.degenerate_pivots for s in (
-        lid_solution, lid_solution_equality, res)] == [589, 907, 1019]
-
-
-def test_icosidodecahedral_reduced_pivot_counts(gamma_lid, lid_group):
-    # the same three solves over the 18 corner orbits of the D5 group,
-    # as the CLI runs them
-    results = [solve(gamma_lid, symmetry=lid_group, **kw).lp_result
-               for kw in ({}, {"equality_asphericity": True},
-                          {"equality_asphericity": True,
-                           "minimize_total": True})]
-    assert [r.pivots for r in results] == [66, 77, 94]
-    assert [r.degenerate_pivots for r in results] == [45, 47, 64]
+    assert [s.lp_result.degenerate_pivots for s in unreduced] == [
+        589, 907, 1019]
+    # the same three solves over the 18 corner orbits of the D5 group, as
+    # falk.solve runs them
+    reduced = (lid_solution, lid_solution_equality,
+               lid_solution_equality_min)
+    assert [s.lp_result.pivots for s in reduced] == [66, 77, 94]
+    assert [s.lp_result.degenerate_pivots for s in reduced] == [45, 47, 64]
+    assert lid_solution_equality_min.lp_result.objective_value == 58
 
 
 def test_pivots_take_no_part_in_equality():

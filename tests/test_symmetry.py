@@ -31,6 +31,8 @@ from oracles import (
     induced_line_permutation,
     interior_square,
     point_map_permutation,
+    solve_system,
+    unreduced_solve,
 )
 
 F = Fraction
@@ -138,10 +140,9 @@ def test_reduced_and_unreduced_solves_agree():
     inputs += [interior_square()] + seeded_inputs()
     for arr in inputs:
         gam = gamma_of(arr)
-        group = corner_automorphisms(gam)
         for kw in SOLVES:
-            full = solve(gam, **kw)
-            reduced = solve(gam, symmetry=group, **kw)
+            full = unreduced_solve(gam, **kw)
+            reduced = solve(gam, **kw)
             assert reduced.status == full.status
             if reduced.feasible:
                 assert verify(gam, reduced.weights).ok
@@ -150,21 +151,20 @@ def test_reduced_and_unreduced_solves_agree():
                             == full.lp_result.objective_value)
 
 
-def test_lid_reduced_solves_keep_the_optima(gamma_lid, lid_group,
-                                            lid_solution_equality_min):
+def test_lid_reduced_solves_keep_the_optima(
+        gamma_lid, lid_group, lid_solution, lid_solution_equality_min,
+        lid_unreduced_equality_min):
     system = _orbit_system(build_constraints(gamma_lid), lid_group)
     assert (len(system.variables), len(system.rows)) == (18, 41)
-    full = solve(gamma_lid, minimize_total=True)
-    for kw, unreduced, optimum in (
-            ({"minimize_total": True}, full, 50),
-            ({"equality_asphericity": True, "minimize_total": True},
-             lid_solution_equality_min, 58)):
-        reduced = solve(gamma_lid, symmetry=lid_group, **kw)
+    for reduced, unreduced, optimum in (
+            (solve(gamma_lid, minimize_total=True),
+             unreduced_solve(gamma_lid, minimize_total=True), 50),
+            (lid_solution_equality_min, lid_unreduced_equality_min, 58)):
         assert reduced.feasible and unreduced.feasible
         assert verify(gamma_lid, reduced.weights).ok
         assert (reduced.lp_result.objective_value
                 == unreduced.lp_result.objective_value == optimum)
-    weights = solve(gamma_lid, symmetry=lid_group).weights
+    weights = lid_solution.weights
     assert verify(gamma_lid, weights).ok
     # the weights are constant on each orbit of the group
     for perm in lid_group:
@@ -175,8 +175,7 @@ def test_generic3_equality_optimum_is_a_third_per_corner():
     # the generic3 triangle: one orbit of three corners, 1/3 each at the
     # equality optimum
     gam = gamma_of(section("generic3"))
-    result = solve(gam, equality_asphericity=True, minimize_total=True,
-                   symmetry=corner_automorphisms(gam))
+    result = solve(gam, equality_asphericity=True, minimize_total=True)
     assert result.weights == {Corner(v, 0): F(1, 3) for v in range(3)}
 
 
@@ -263,7 +262,7 @@ def test_icosidodecahedral_invariance_check_keeps_two_generators(
         return check(rows, perms)
 
     monkeypatch.setattr(falk, "_check_symmetry_invariance", counting)
-    solve(gamma_lid, symmetry=lid_group)
+    solve(gamma_lid)
     # 9 * 341 = 3069 row images before, 2 * 341 = 682 now
     assert len(lid_group) == 9 and checked == [(341, 2)]
     # the two kept permutations generate all ten elements
@@ -288,8 +287,7 @@ def test_permutation_order_moves_representatives_not_orbits(name):
     full = build_constraints(gam)
     system = _orbit_system(full, group)
     partition = {frozenset(orbit) for orbit in system.orbits}
-    optimum = solve(gam, symmetry=group,
-                    minimize_total=True).lp_result.objective_value
+    optimum = solve(gam, minimize_total=True).lp_result.objective_value
     moved = 0
     for shuffled in [group[::-1]] + [
             random.Random(seed).sample(group, len(group))
@@ -298,7 +296,7 @@ def test_permutation_order_moves_representatives_not_orbits(name):
         # union-find roots follow the order of the permutations
         moved += other.variables != system.variables
         assert {frozenset(orbit) for orbit in other.orbits} == partition
-        result = solve(gam, symmetry=shuffled, minimize_total=True)
+        result = solve_system(other, minimize_total=True)
         assert result.lp_result.objective_value == optimum
         assert verify(gam, result.weights).ok
     assert moved
