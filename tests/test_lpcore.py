@@ -224,8 +224,7 @@ def test_rational_data_survives():
 
 
 def test_icosidodecahedral_pivot_counts(
-        lid_unreduced, lid_unreduced_equality, lid_unreduced_equality_min,
-        lid_solution, lid_solution_equality, lid_solution_equality_min):
+        lid_unreduced, lid_unreduced_equality, lid_unreduced_equality_min):
     # Bland's rule on the exact rows over all 150 corners: the counts of
     # the dense Fraction tableau, drive-outs included
     unreduced = (lid_unreduced, lid_unreduced_equality,
@@ -235,6 +234,10 @@ def test_icosidodecahedral_pivot_counts(
     # of these, the pivots on a row with rhs 0, which move no basic value
     assert [s.lp_result.degenerate_pivots for s in unreduced] == [
         589, 907, 1019]
+
+
+def test_icosidodecahedral_reduced_pivot_counts(
+        lid_solution, lid_solution_equality, lid_solution_equality_min):
     # the same three solves over the 18 corner orbits of the D5 group, as
     # falk.solve runs them
     reduced = (lid_solution, lid_solution_equality,
