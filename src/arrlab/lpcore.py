@@ -110,11 +110,13 @@ class FeasibilityResult:
     witness: tuple | None = None  # rational point, len nvars
     certificate: tuple | None = None  # multipliers, one per original row
     objective_value: object | None = None
-    # simplex pivots made, drive-outs included, and those of them on a row
-    # whose rhs was 0 (the basic values did not move); not part of the
-    # result's value
+    # simplex pivots made, drive-outs included, those of them on a row
+    # whose rhs was 0 (the basic values did not move), and the row entries
+    # combined with a pivot row entry in the rows it cleared; not part of
+    # the result's value
     pivots: int = field(default=0, compare=False)
     degenerate_pivots: int = field(default=0, compare=False)
+    entry_updates: int = field(default=0, compare=False)
 
 
 def _ge_form(lp: StandardFormLP):
@@ -169,7 +171,9 @@ class _Tableau:
     sign: ``neg``, the set of columns with a negative reduced cost, is
     kept up to date there, and Bland's entering column is ``min(neg)``.
     A pivot on a row whose rhs is 0 moves no basic value and is counted in
-    ``degenerate_pivots``.
+    ``degenerate_pivots``; ``entry_updates`` counts the entries of the
+    pivot row off column ``col`` once for each row it clears, a work count
+    that does not depend on the machine.
     Only signs and cross-multiplied ratios are compared, so Bland's rule
     makes the same pivots as it would on the exact rows.
 
@@ -190,6 +194,7 @@ class _Tableau:
         self.cols = [set() for _ in range(self.ncols)]
         self.pivots = 0
         self.degenerate_pivots = 0
+        self.entry_updates = 0
         for i, (pairs, b) in enumerate(ge_rows):
             # scaled by the lcm of its denominators, with -lcm as its
             # surplus entry (a.x - s = b), the row is primitive
@@ -254,6 +259,7 @@ class _Tableau:
         pairs = [(j, v) for j, v in row.items() if j != col]
         others = cols[col]
         cols[col] = {r}
+        self.entry_updates += (len(others) - 1) * len(pairs)
         # each other row with an entry in column col becomes
         # p * row - q * pivot row, with p = piv/g and q = f/g
         for rr in others:
@@ -358,7 +364,8 @@ def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
 
     def result(status, **values):
         return FeasibilityResult(status, **values, pivots=tab.pivots,
-                                 degenerate_pivots=tab.degenerate_pivots)
+                                 degenerate_pivots=tab.degenerate_pivots,
+                                 entry_updates=tab.entry_updates)
 
     tab.run()
     if tab.objective_value() > 0:

@@ -585,6 +585,7 @@ class DenseTableau:
         self.cost = [zero] * self.ncols
         self.pivots = 0
         self.degenerate_pivots = 0
+        self.entry_updates = 0
         for i, (pairs, b) in enumerate(ge_rows):
             row = [Fraction(c) for c in dense_coeffs(pairs, nvars)] \
                 + [zero] * m
@@ -637,6 +638,7 @@ class DenseTableau:
                 for j in nz:
                     target[j] -= f * row[j]
                 self.rhs[rr] -= f * self.rhs[r]
+                self.entry_updates += len(nz) - 1
         f = self.red[col]
         if f:
             red = self.red
@@ -698,7 +700,8 @@ def dense_simplex_reference(lp: StandardFormLP) -> FeasibilityResult:
 
     def result(status, **values):
         return FeasibilityResult(status, **values, pivots=tab.pivots,
-                                 degenerate_pivots=tab.degenerate_pivots)
+                                 degenerate_pivots=tab.degenerate_pivots,
+                                 entry_updates=tab.entry_updates)
 
     tab.run()
     if tab.objective_value() > 0:

@@ -252,6 +252,7 @@ def test_pivots_take_no_part_in_equality():
                             degenerate_pivots=1)
     assert res == replace(res, pivots=4)
     assert res == replace(res, degenerate_pivots=2)
+    assert res == replace(res, entry_updates=5)
 
 
 def test_falk_lps_match_dense_reference():
@@ -266,6 +267,7 @@ def test_falk_lps_match_dense_reference():
             assert res.lp_result == ref
             assert res.lp_result.pivots == ref.pivots > 0
             assert res.lp_result.degenerate_pivots == ref.degenerate_pivots
+            assert res.lp_result.entry_updates == ref.entry_updates
 
 
 # SHA-256 of the row tags of the icosidodecahedral section's system, one
@@ -353,6 +355,7 @@ def test_sparse_rows_are_primitive_scalings_of_the_dense_rows():
         dense = DenseTableau(ge_rows, lp.nvars)
         assert tab.run() == dense.run()
         assert tab.basis == dense.basis and tab.pivots == dense.pivots
+        assert tab.entry_updates == dense.entry_updates
         for r, row in enumerate(tab.rows):
             s = tab.scale[r]
             # primitive even without the scale, which is one of the entries
@@ -368,35 +371,50 @@ def test_sparse_rows_are_primitive_scalings_of_the_dense_rows():
                 for j in range(tab.ncols)] == dense.red
 
 
-def _census_shape_digest():
-    """The digest of the 40 results, the total pivots and the total
-    degenerate pivots."""
+@pytest.fixture(scope="module")
+def census_shape_results():
+    """The weight LP results of 20 seeded 9-line rational arrangements
+    with coefficients in [-6, 6] (the shape of the census benchmark
+    inputs), each solved as is and with its total weight minimized."""
     rng = random.Random(13)
-    digest = hashlib.sha256()
-    pivots = degenerate = 0
+    results = []
     for _ in range(20):
         arr = essential_random_line_arrangement(rng, 9, coeff_range=6)
         gamma = bounded_complex(build_complex(arr))
         for minimize_total in (False, True):
-            res = solve(gamma, minimize_total=minimize_total).lp_result
-            assert 0 <= res.degenerate_pivots <= res.pivots
-            digest.update(f"{res.pivots} {_result_line(res)}".encode())
-            pivots += res.pivots
-            degenerate += res.degenerate_pivots
-    return digest.hexdigest(), pivots, degenerate
+            results.append(
+                solve(gamma, minimize_total=minimize_total).lp_result)
+    return results
 
 
-# SHA-256 of the weight LP results, pivot counts included, of 20 seeded
-# 9-line rational arrangements with coefficients in [-6, 6] (the shape of
-# the census benchmark inputs), each solved as is and with its total
-# weight minimized
+# SHA-256 of the 40 census-shape results, pivot counts included
 CENSUS_SHAPE_RESULTS_SHA256 = \
     "15176320d794360745411f8d47d187f18ad8c61d66fe7b02a66d52efc9f893bf"
 
 
-def test_census_shape_results_digest():
-    assert _census_shape_digest() == (CENSUS_SHAPE_RESULTS_SHA256,
-                                      10428, 6838)
+def test_census_shape_results_digest(census_shape_results):
+    digest = hashlib.sha256()
+    for res in census_shape_results:
+        assert 0 <= res.degenerate_pivots <= res.pivots
+        digest.update(f"{res.pivots} {_result_line(res)}".encode())
+    totals = [sum(getattr(res, count) for res in census_shape_results)
+              for count in ("pivots", "degenerate_pivots", "entry_updates")]
+    assert (digest.hexdigest(), totals) == (CENSUS_SHAPE_RESULTS_SHA256,
+                                            [10428, 6838, 699639])
+
+
+def test_census_shape_outcomes(census_shape_results):
+    # what any correct solver returns, whatever its pivots and witnesses:
+    # each status and each minimum total weight (the icosidodecahedral
+    # optima, 50 and 58, are pinned in test_symmetry.py)
+    assert [res.status for res in census_shape_results] == [FEASIBLE] * 40
+    assert [str(res.objective_value)
+            for res in census_shape_results[1::2]] == [
+        "75/2", "40", "31", "43", "41", "77/2", "40", "79/2", "77/2",
+        "77/2", "42", "75/2", "39", "38", "40", "43", "81/2", "42",
+        "69/2", "40"]
+    assert all(res.objective_value is None
+               for res in census_shape_results[0::2])
 
 
 def test_reduced_costs_and_bland_candidates_after_every_pivot(monkeypatch):
