@@ -7,9 +7,13 @@ nonzero coefficients, the one row form from constraint assembly to the
 tableau, so equal rows are equal tuples.  Only the objective is a dense
 tuple.  ``solve_feasibility`` runs a phase-1 simplex with Bland's
 anti-cycling rule (deterministic pivot order, hence bit-identical
-reruns).  The tableau stores one column per variable and one surplus
-column per row; artificial variables live only in the basis and the cost
-vector.  It is sparse and fraction-free, as in Bareiss's and Edmonds's
+reruns).  It starts from a crash basis: the rows that need an artificial
+variable split into blocks that share no variable (on the weight LPs,
+one per vertex link), each block is solved on its own, and only the
+rows that tie the blocks together are left to the global phase 1.  The
+tableau stores one column per variable and one surplus column per row;
+artificial variables live only in the basis and the cost vector.
+It is sparse and fraction-free, as in Bareiss's and Edmonds's
 integer elimination and Avis's lrs: each row is a dict of ints with a
 positive row scale, and the exact row is the stored one over its scale.
 Bland's rule reads only signs and cross-multiplied ratios, so it makes the
@@ -161,7 +165,7 @@ class _Tableau:
     exact rows are the same as with the plain products, and ``piv/g`` is
     mostly 1, so most rows are not multiplied at all.  ``cols[j]`` holds
     the rows with a nonzero in column j, so a pivot touches only those
-    rows, and one loop in ``_pivot`` does the whole update of a row.
+    rows, and one loop in ``_eliminate`` does the whole update of a row.
 
     The reduced costs are one integer row ``red`` over the positive
     ``red_scale``, built from ints alone over the lcm of the cost
@@ -177,9 +181,42 @@ class _Tableau:
     Only signs and cross-multiplied ratios are compared, so Bland's rule
     makes the same pivots as it would on the exact rows.
 
-    Farkas multipliers need no artificial columns: at a phase-1 optimum the
-    reduced cost of row k's surplus column, -e_k (or +e_k after the rhs
-    flip), is the multiplier of ge-form row k.
+    Phase 1 starts from a crash basis (R. Bixby, "Implementing the simplex
+    method: the initial basis", 1992) built from the block-angular shape
+    of the rows (G. Dantzig and P. Wolfe, "Decomposition principle for
+    linear programs", 1960).  The rows that start with an artificial fall
+    into blocks, two rows being in one block when they share a column
+    (one union-find).  With two blocks or more:
+
+    * each block's rows are solved on their own, by phase 1 of a block
+      tableau over the block's columns in ascending order, so Bland's rule
+      sees the same column and tie order as here; blocks whose rows are
+      equal over their local columns are solved once;
+    * each block's final rows, scales and basis are copied in, not
+      replayed;
+    * the rows that start with a basic surplus link the blocks: each
+      column now basic in a block is cleared from them by one cofactor
+      combination, the update a pivot makes (``_eliminate``), which keeps
+      them primitive;
+    * a linking row whose rhs is then negative is negated and gets an
+      artificial, as at the start, and the reduced costs are rebuilt.
+
+    The global phase 1 goes on from there.  With fewer than two blocks, as
+    when = rows tie all the columns together, the start is the surplus and
+    artificial basis alone.  ``pivots``, ``degenerate_pivots`` and
+    ``entry_updates`` include the block solves, once for each distinct
+    block, and ``entry_updates`` the clearing too.
+
+    Farkas multipliers need no artificial columns, whatever the start.
+    Every change of the rows, crash start included, negates or combines
+    rows invertibly, so the exact rows are G [A | -I] for an invertible G,
+    with A the ge-form rows and -I their surplus columns: for the current
+    basis B, G = B^-1 and y = c_B B^-1 is the phase-1 cost of the basic
+    artificials times G.  The reduced cost of x column j is then
+    -(y A)_j and that of row k's surplus column y_k.  At a phase-1
+    optimum they are all >= 0 while the objective y . b is > 0, so
+    u_k = y_k, the surplus reduced costs, satisfy u >= 0, u A <= 0 and
+    u . b > 0: they are the multipliers of the ge-form rows.
     """
 
     def __init__(self, ge_rows, nvars):
@@ -214,7 +251,87 @@ class _Tableau:
             self.scale.append(lcm)
             for j in row:
                 self.cols[j].add(i)
+        self._crash(ge_rows, nvars)
+
+    def _crash(self, ge_rows, nvars):
+        """Start from the solved blocks of the artificial rows, when there
+        are two or more, then build the reduced costs."""
+        art = [r for r, b in enumerate(self.basis) if b >= self.ncols]
+        root = list(range(self.m))  # union-find over rows sharing a column
+
+        def find(r):
+            while root[r] != r:
+                root[r] = root[root[r]]
+                r = root[r]
+            return r
+
+        owner = {}
+        for r in art:
+            for j, _ in ge_rows[r][0]:
+                root[find(owner.setdefault(j, r))] = find(r)
+        blocks = {}
+        for r in art:
+            blocks.setdefault(find(r), []).append(r)
+        if len(blocks) > 1:
+            links = [r for r, b in enumerate(self.basis) if b < self.ncols]
+            self._clear_links(links,
+                              self._solve_blocks(ge_rows, nvars,
+                                                 blocks.values()))
         self._rebuild_objective()
+
+    def _solve_blocks(self, ge_rows, nvars, blocks):
+        """Solve each block's rows on their own, by phase 1 of a block
+        tableau over the block's columns in ascending order (identical
+        blocks once), and copy its final rows, basis and counts in.
+        Returns {basic column: row} of the copied rows."""
+        rows, cols = self.rows, self.cols
+        solved = {}
+        basic = {}
+        for block in blocks:
+            xs = sorted({j for r in block for j, _ in ge_rows[r][0]})
+            local = {j: k for k, j in enumerate(xs)}
+            key = tuple((tuple((local[j], c) for j, c in ge_rows[r][0]),
+                         ge_rows[r][1]) for r in block)
+            sub = solved.get(key)
+            if sub is None:
+                sub = solved[key] = _Tableau(key, len(xs))
+                sub.run()
+                self.pivots += sub.pivots
+                self.degenerate_pivots += sub.degenerate_pivots
+                self.entry_updates += sub.entry_updates
+            glob = xs + [nvars + r for r in block]
+            for r, row, b, s, b_id in zip(block, sub.rows, sub.rhs,
+                                          sub.scale, sub.basis):
+                for j in rows[r]:
+                    cols[j].discard(r)
+                rows[r] = {glob[j]: v for j, v in row.items()}
+                for j in rows[r]:
+                    cols[j].add(r)
+                self.rhs[r], self.scale[r] = b, s
+                # a basic artificial has not left, so it is still row r's
+                if b_id < sub.ncols:
+                    self.basis[r] = glob[b_id]
+                    basic[glob[b_id]] = r
+        return basic
+
+    def _clear_links(self, links, basic):
+        """Clear each ``basic`` column of the blocks, {column: row}, from
+        the ``links`` rows, then give each one whose rhs went negative an
+        artificial."""
+        # only linking rows hold a block's basic column outside its row,
+        # and a block row holds no other basic column, so one elimination
+        # per column clears them all
+        for col, r in basic.items():
+            self._eliminate(r, col)
+        rows, rhs = self.rows, self.rhs
+        for r in links:
+            if rhs[r] < 0:
+                row = rows[r]
+                for j in row:
+                    row[j] = -row[j]
+                rhs[r] = -rhs[r]
+                self.basis[r] = len(self.cost)
+                self.cost.append(1)
 
     def _rebuild_objective(self):
         # reduced costs z_j = c_j - sum over rows of c_basis * T[r][j],
@@ -239,29 +356,22 @@ class _Tableau:
                     for r, b in enumerate(self.basis)
                     if self.cost[b]), Fraction(0))
 
-    def _pivot(self, r, col):
+    def _eliminate(self, r, col):
+        """Clear column col from every other row with row r, whose entry
+        there is its scale; returns row r's entries off column col.
+
+        Each other row with an entry f in column col becomes
+        p * row - q * row r, with g = gcd(piv, f), p = piv/g and q = f/g,
+        and is made primitive again.
+        """
         rows, rhs, scale, cols = self.rows, self.rhs, self.scale, self.cols
-        row = rows[r]
-        b, piv = rhs[r], row[col]
-        if piv < 0:  # only when driving out an artificial
-            for j in row:
-                row[j] = -row[j]
-            b, piv = -b, -piv
-        if not b:
-            self.degenerate_pivots += 1
-        # the row stays primitive over its new scale piv: a row's entries
-        # and rhs alone have gcd 1, as its scale is one of its entries
-        # (that of its basic column, or -scale on the surplus of its basic
-        # artificial)
-        rhs[r], scale[r] = b, piv
-        # the pivot row's entries off column col; every other row loses
-        # its entry in column col outright
-        pairs = [(j, v) for j, v in row.items() if j != col]
+        b, piv = rhs[r], scale[r]
+        # row r's entries off column col; every other row loses its entry
+        # in column col outright
+        pairs = [(j, v) for j, v in rows[r].items() if j != col]
         others = cols[col]
         cols[col] = {r}
         self.entry_updates += (len(others) - 1) * len(pairs)
-        # each other row with an entry in column col becomes
-        # p * row - q * pivot row, with p = piv/g and q = f/g
         for rr in others:
             if rr == r:
                 continue
@@ -297,6 +407,24 @@ class _Tableau:
                     b2 //= g
                     s2 //= g
             rhs[rr], scale[rr] = b2, s2
+        return pairs
+
+    def _pivot(self, r, col):
+        rows, rhs, scale = self.rows, self.rhs, self.scale
+        row = rows[r]
+        b, piv = rhs[r], row[col]
+        if piv < 0:  # only when driving out an artificial
+            for j in row:
+                row[j] = -row[j]
+            b, piv = -b, -piv
+        if not b:
+            self.degenerate_pivots += 1
+        # the row stays primitive over its new scale piv: a row's entries
+        # and rhs alone have gcd 1, as its scale is one of its entries
+        # (that of its basic column, or -scale on the surplus of its basic
+        # artificial)
+        rhs[r], scale[r] = b, piv
+        pairs = self._eliminate(r, col)
         red = self.red
         f = red.pop(col, 0)
         if f:

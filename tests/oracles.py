@@ -307,26 +307,30 @@ def sparse_coeffs(coeffs) -> tuple:
     return tuple((j, c) for j, c in enumerate(coeffs) if c)
 
 
-def fourier_motzkin_feasible(rows, nvars: int) -> bool:
-    """Feasibility of {rows, x >= 0} by variable elimination.
-
-    Rows are (pairs, rel, rhs) with sparse LPRow coefficients; they are
-    made dense and normalized to >=-form first.
-    Variables leave in the greedy (fewest products) order and redundant
-    parallel rows are dropped, which keeps small instances tractable.
-    """
+def _fourier_motzkin_ge(rows, ncols: int, nonnegative) -> list:
+    """The (pairs, rel, rhs) ``rows`` as dense >=-form rows over ``ncols``
+    columns, plus x_j >= 0 for each j in ``nonnegative``."""
     ge = []
     for pairs, rel, rhs in rows:
-        coeffs = tuple(Fraction(c) for c in dense_coeffs(pairs, nvars))
+        coeffs = tuple(Fraction(c) for c in dense_coeffs(pairs, ncols))
         rhs = Fraction(rhs)
         if rel in (">=", "="):
             ge.append((coeffs, rhs))
         if rel in ("<=", "="):
             ge.append((tuple(-c for c in coeffs), -rhs))
-    for j in range(nvars):
-        unit = tuple(Fraction(1 if i == j else 0) for i in range(nvars))
+    for j in nonnegative:
+        unit = tuple(Fraction(1 if i == j else 0) for i in range(ncols))
         ge.append((unit, Fraction(0)))
+    return ge
 
+
+def _fourier_motzkin_eliminate(ge, variables) -> list:
+    """The dense >=-form rows ``ge`` with the ``variables`` eliminated:
+    rows over the other columns with the same solutions there.
+
+    Variables leave in the greedy (fewest products) order and redundant
+    parallel rows are dropped, which keeps small instances tractable.
+    """
     def compact(rows_in):
         # normalize each row and keep only the binding rhs per direction
         best = {}
@@ -341,7 +345,7 @@ def fourier_motzkin_feasible(rows, nvars: int) -> bool:
         return [(c, b) for c, b in best.items()]
 
     ge = compact(ge)
-    remaining = set(range(nvars))
+    remaining = set(variables)
     while remaining:
         # Fourier's heuristic: eliminate the variable with the fewest
         # positive x negative combinations
@@ -364,7 +368,42 @@ def fourier_motzkin_feasible(rows, nvars: int) -> bool:
                 coeffs = tuple(a * x + b * y for x, y in zip(pc, nc))
                 combined.append((coeffs, a * pb + b * nb))
         ge = compact(rest + combined)
-    return all(rhs <= 0 for _, rhs in ge)
+    return ge
+
+
+def fourier_motzkin_feasible(rows, nvars: int) -> bool:
+    """Feasibility of {rows, x >= 0} by variable elimination.
+
+    Rows are (pairs, rel, rhs) with sparse LPRow coefficients; they are
+    made dense and normalized to >=-form first.
+    """
+    ge = _fourier_motzkin_ge(rows, nvars, range(nvars))
+    return all(rhs <= 0 for _, rhs in
+               _fourier_motzkin_eliminate(ge, range(nvars)))
+
+
+def fourier_motzkin_minimum(rows, nvars: int, objective):
+    """The minimum of objective . x over {rows, x >= 0}, as (status,
+    value): (INFEASIBLE, None), (UNBOUNDED, None) or (FEASIBLE, the exact
+    minimum), with lpcore's status names.  A free column t = objective . x
+    is appended and every x eliminated; what is left bounds t alone."""
+    tied = [(sparse_coeffs(tuple(objective) + (-1,)), "=", 0)]
+    ge = _fourier_motzkin_ge(list(rows) + tied, nvars + 1, range(nvars))
+    lower = upper = None
+    for coeffs, rhs in _fourier_motzkin_eliminate(ge, range(nvars)):
+        a = coeffs[nvars]
+        if not a:
+            if rhs > 0:
+                return INFEASIBLE, None
+        elif a > 0:
+            lower = rhs / a if lower is None else max(lower, rhs / a)
+        else:
+            upper = rhs / a if upper is None else min(upper, rhs / a)
+    if lower is not None and upper is not None and lower > upper:
+        return INFEASIBLE, None
+    if lower is None:
+        return UNBOUNDED, None
+    return FEASIBLE, lower
 
 
 def simulate_circuit_walk(ctype: str, j: int, m: int, nvertices: int,
@@ -528,6 +567,35 @@ def random_lp(rng, max_vars=12, max_rows=30) -> StandardFormLP:
     return StandardFormLP(nvars, tuple(rows))
 
 
+def random_block_lp(rng) -> StandardFormLP:
+    """A seeded LP of block-angular shape, small enough for the
+    Fourier-Motzkin oracle: 2-4 blocks of 4 variables at most in all,
+    each block with 1-3 >= rows of positive rhs over its own variables
+    (rows that start with an artificial), tied by 1-3 <= rows over all
+    the variables; half of them minimize a seeded objective."""
+    nblocks = rng.randint(2, 4)
+    sizes = [rng.randint(1, 4 // nblocks) for _ in range(nblocks)]
+    nvars = sum(sizes)
+    rows = []
+    first = 0
+    for size in sizes:
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [rng.choice((-1, 0, 1, 2, 2, 3, 3)) for _ in range(size)]
+            if any(coeffs):
+                rows.append(LPRow(sparse_coeffs([0] * first + coeffs),
+                                  ">=", rng.randint(1, 4)))
+        first += size
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [rng.randint(-2, 2) for _ in range(nvars)]
+        if any(coeffs):
+            rows.append(LPRow(sparse_coeffs(coeffs), "<=",
+                              rng.randint(0, 9)))
+    objective = None
+    if rng.random() < 0.5:
+        objective = tuple(rng.randint(-1, 3) for _ in range(nvars))
+    return StandardFormLP(nvars, tuple(dict.fromkeys(rows)), objective)
+
+
 def decimal_str_reference(fr: Fraction, sig: int = 12) -> str:
     """Plain decimal expansion of a Fraction to ``sig`` significant digits,
     ties to even: normalize into [1, 10), round, carry into the exponent."""
@@ -568,6 +636,13 @@ class DenseTableau:
     artificials get the ids ``nvars + m + k`` in ``basis`` and ``cost`` but
     no stored column, since none may re-enter the basis once it has left.
 
+    It starts from the same crash basis: with two blocks or more of
+    artificial rows that share a column, each block is solved on its own
+    dense tableau (equal blocks once), its rows are copied in, each basic
+    column of a block is eliminated from the linking rows with Fractions,
+    and a linking row whose rhs went negative is negated and gets an
+    artificial.
+
     Farkas multipliers need no artificial columns: at a phase-1 optimum the
     reduced cost of row k's surplus column, -e_k (or +e_k after the rhs
     flip), is the multiplier of ge-form row k.
@@ -599,6 +674,62 @@ class DenseTableau:
                 self.cost.append(one)
             self.rows.append(row)
             self.rhs.append(Fraction(b))
+        self._crash(ge_rows, nvars)
+
+    def _crash(self, ge_rows, nvars):
+        # the blocks of the artificial rows, merged by shared columns
+        blocks = []
+        for r, b in enumerate(self.basis):
+            if b >= self.ncols:
+                columns = {j for j, _ in ge_rows[r][0]}
+                block = [r]
+                for other in [o for o in blocks if o[0] & columns]:
+                    blocks.remove(other)
+                    columns |= other[0]
+                    block += other[1]
+                blocks.append((columns, sorted(block)))
+        if len(blocks) > 1:
+            links = [r for r, b in enumerate(self.basis) if b < self.ncols]
+            solved = {}
+            for columns, block in blocks:
+                xs = sorted(columns)
+                local = {j: k for k, j in enumerate(xs)}
+                key = tuple((tuple((local[j], c) for j, c in ge_rows[r][0]),
+                             ge_rows[r][1]) for r in block)
+                if key not in solved:
+                    sub = solved[key] = DenseTableau(key, len(xs))
+                    sub.run()
+                    self.pivots += sub.pivots
+                    self.degenerate_pivots += sub.degenerate_pivots
+                    self.entry_updates += sub.entry_updates
+                sub = solved[key]
+                glob = xs + [nvars + r for r in block]
+                for k, r in enumerate(block):
+                    self.rows[r] = [Fraction(0)] * self.ncols
+                    for j, v in enumerate(sub.rows[k]):
+                        self.rows[r][glob[j]] = v
+                    self.rhs[r] = sub.rhs[k]
+                    if sub.basis[k] < sub.ncols:
+                        self.basis[r] = glob[sub.basis[k]]
+            # eliminate each basic column of the blocks (a 1 in its row)
+            # from the linking rows
+            block_rows = [r for _, block in blocks for r in block]
+            for r in links:
+                row = self.rows[r]
+                for rr in block_rows:
+                    col = self.basis[rr]
+                    f = row[col] if col < self.ncols else 0
+                    if f:
+                        nz = [j for j, v in enumerate(self.rows[rr]) if v]
+                        for j in nz:
+                            row[j] -= f * self.rows[rr][j]
+                        self.rhs[r] -= f * self.rhs[rr]
+                        self.entry_updates += len(nz) - 1
+                if self.rhs[r] < 0:
+                    self.rows[r] = [-v for v in row]
+                    self.rhs[r] = -self.rhs[r]
+                    self.basis[r] = len(self.cost)
+                    self.cost.append(Fraction(1))
         self._rebuild_objective()
 
     def _rebuild_objective(self):

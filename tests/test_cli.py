@@ -23,11 +23,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # unreduced solve (tests/oracles.py) and by falk.solve over the symmetry
 # orbits, as the CLI writes it, and of the figure annotated with the former
 ICOSI_WEIGHTS_SHA256 = \
-    "2df180cf228185b98fcc00c0594dad02a9a253552af65e99cd818dc84e7740e2"
+    "32b29b3ac3ba2b661d07a1986ace501c7aea84da42a94ed2c314bce15d0c73ec"
 ICOSI_CLI_WEIGHTS_SHA256 = \
-    "fa5f71df1d89e842a0fa4970d58322c0c5a41363d8faf1006f233a9613b7596e"
+    "b5c4112d374fe86593254944112d31f8b84a0b5b0591e75aca85d24b32045fbe"
 ICOSI_SVG_SHA256 = \
-    "d962b70d6bed0f9a59d27ca8dbb6247b00aed2975315b49e2591e48a12dded0b"
+    "b2232f07001d27fa6ff09f8b90f4707be13ee1e6086177e5212487c79b788550"
 
 
 def run_cli(args, capsys):

@@ -28,7 +28,9 @@ from oracles import (
     dense_simplex_reference,
     essential_random_line_arrangement,
     fourier_motzkin_feasible,
+    fourier_motzkin_minimum,
     fraction_reduced_costs,
+    random_block_lp,
     random_lp,
     sparse_coeffs,
 )
@@ -223,17 +225,104 @@ def test_rational_data_survives():
     assert res.objective_value == F(3, 14)
 
 
+def _blocks_solved(monkeypatch):
+    """The list of the tableaux that go on to start from solved blocks,
+    appended to as each one does."""
+    calls = []
+    solve_blocks = _Tableau._solve_blocks
+
+    def counted(tab, *args):
+        calls.append(tab)
+        return solve_blocks(tab, *args)
+    monkeypatch.setattr(_Tableau, "_solve_blocks", counted)
+    return calls
+
+
+def test_block_infeasible_on_its_own(monkeypatch):
+    # x0 >= 1 and -x1 >= 1 are two blocks; the second has no solution, so
+    # its artificial stays basic after the crash and phase 1 stops there
+    blocks = _blocks_solved(monkeypatch)
+    lp = StandardFormLP(2, (LPRow(X, ">=", 1), LPRow(((1, -1),), ">=", 1),
+                            LPRow(X_PLUS_Y, "<=", 5)))
+    res = solve_feasibility(lp)
+    assert len(blocks) == 1
+    assert res.status == INFEASIBLE
+    assert res.certificate == (0, 1, 0)
+    assert check_certificate(lp, res)
+
+
+def test_linking_row_violated_by_the_crash_gets_an_artificial():
+    # the blocks x0 >= 2 and x1 + x2 >= 1 solve to x0 = 2, x1 = 1, x2 = 0,
+    # which violates the linking row x0 - x2 <= 1
+    lp = StandardFormLP(3, (LPRow(X, ">=", 2),
+                            LPRow(((1, 1), (2, 1)), ">=", 1),
+                            LPRow(((0, 1), (2, -1)), "<=", 1)))
+    ge_rows, _ = _ge_form(lp)
+    tab = _Tableau(ge_rows, lp.nvars)
+    # the block rows' artificials left; the linking row's is the next id
+    assert tab.basis == [0, 1, tab.ncols + 2]
+    assert tab.pivots == 2 and tab.objective_value() == 1
+    assert tab.rows[2] == {2: 1, 3: -1, 5: -1} and tab.rhs[2] == 1
+    res = solve_feasibility(lp)
+    assert res.status == FEASIBLE and res.witness == (2, 0, 1)
+    assert check_certificate(lp, res)
+
+
+def test_identical_blocks_are_solved_once(monkeypatch):
+    blocks = _blocks_solved(monkeypatch)
+    twins = (LPRow(((0, 1), (1, 2)), ">=", 3),
+             LPRow(((2, 1), (3, 2)), ">=", 3))
+    res = solve_feasibility(StandardFormLP(4, twins))
+    assert res.witness == (3, 0, 3, 0)
+    # one pivot for both blocks; a different rhs makes them two
+    assert res.pivots == 1
+    other = (twins[0], LPRow(twins[1].coeffs, ">=", 4))
+    res = solve_feasibility(StandardFormLP(4, other))
+    assert res.witness == (3, 0, 4, 0) and res.pivots == 2
+    assert len(blocks) == 2
+
+
+def test_block_lps_against_fourier_motzkin(monkeypatch):
+    # block-angular LPs, each started from its solved blocks: the status
+    # and the optimum are those that elimination finds, and the dense
+    # tableau makes the same pivots
+    blocks = _blocks_solved(monkeypatch)
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(40):
+        lp = random_block_lp(rng)
+        res = solve_feasibility(lp)
+        rows = [(r.coeffs, r.rel, r.rhs) for r in lp.rows]
+        if lp.objective is None:
+            feasible = fourier_motzkin_feasible(rows, lp.nvars)
+            expected = (FEASIBLE if feasible else INFEASIBLE, None)
+        else:
+            expected = fourier_motzkin_minimum(rows, lp.nvars, lp.objective)
+        assert (res.status, res.objective_value) == expected, lp
+        assert check_certificate(lp, res) or res.status == UNBOUNDED
+        ref = dense_simplex_reference(lp)
+        assert res == ref
+        assert (res.pivots, res.degenerate_pivots, res.entry_updates) == (
+            ref.pivots, ref.degenerate_pivots, ref.entry_updates)
+        kinds.add((res.status, lp.objective is None))
+    assert len(kinds) == 5 and len(blocks) > 30
+
+
 def test_icosidodecahedral_pivot_counts(
         lid_unreduced, lid_unreduced_equality, lid_unreduced_equality_min):
     # Bland's rule on the exact rows over all 150 corners: the counts of
-    # the dense Fraction tableau, drive-outs included
+    # the dense Fraction tableau, drive-outs and block solves included
+    # (the plain solve starts from its vertex blocks; the = rows of the
+    # other two join every corner into one block)
     unreduced = (lid_unreduced, lid_unreduced_equality,
                  lid_unreduced_equality_min)
-    assert [s.lp_result.pivots for s in unreduced] == [758, 1132, 1244]
+    assert [s.lp_result.pivots for s in unreduced] == [458, 1132, 1244]
     assert lid_unreduced_equality_min.lp_result.objective_value == 58
     # of these, the pivots on a row with rhs 0, which move no basic value
     assert [s.lp_result.degenerate_pivots for s in unreduced] == [
-        589, 907, 1019]
+        358, 907, 1019]
+    assert [s.lp_result.entry_updates for s in unreduced] == [
+        79320, 1381421, 1458788]
 
 
 def test_icosidodecahedral_reduced_pivot_counts(
@@ -242,8 +331,10 @@ def test_icosidodecahedral_reduced_pivot_counts(
     # falk.solve runs them
     reduced = (lid_solution, lid_solution_equality,
                lid_solution_equality_min)
-    assert [s.lp_result.pivots for s in reduced] == [66, 77, 94]
-    assert [s.lp_result.degenerate_pivots for s in reduced] == [45, 47, 64]
+    assert [s.lp_result.pivots for s in reduced] == [54, 77, 94]
+    assert [s.lp_result.degenerate_pivots for s in reduced] == [32, 47, 64]
+    assert [s.lp_result.entry_updates for s in reduced] == [
+        1578, 6426, 6560]
     assert lid_solution_equality_min.lp_result.objective_value == 58
 
 
@@ -389,7 +480,7 @@ def census_shape_results():
 
 # SHA-256 of the 40 census-shape results, pivot counts included
 CENSUS_SHAPE_RESULTS_SHA256 = \
-    "15176320d794360745411f8d47d187f18ad8c61d66fe7b02a66d52efc9f893bf"
+    "f7f784a16713db0d0df0d217b11b364fbbc8f8d1a2bfa69b0f4a09dc346e783e"
 
 
 def test_census_shape_results_digest(census_shape_results):
@@ -400,7 +491,7 @@ def test_census_shape_results_digest(census_shape_results):
     totals = [sum(getattr(res, count) for res in census_shape_results)
               for count in ("pivots", "degenerate_pivots", "entry_updates")]
     assert (digest.hexdigest(), totals) == (CENSUS_SHAPE_RESULTS_SHA256,
-                                            [10428, 6838, 699639])
+                                            [5155, 3130, 251110])
 
 
 def test_census_shape_outcomes(census_shape_results):
@@ -418,11 +509,11 @@ def test_census_shape_outcomes(census_shape_results):
 
 
 def test_reduced_costs_and_bland_candidates_after_every_pivot(monkeypatch):
-    # after each rebuild and each pivot, on random, Fraction and weight
-    # LPs, phase 2 included: neg holds exactly the columns with a negative
-    # reduced cost, the integer red over red_scale is the Fraction
-    # rebuild, and each row is primitive without its scale, so a pivot
-    # row needs no division
+    # right after each crash start and after each rebuild and each pivot,
+    # on random, Fraction, block-angular and weight LPs, phase 2 included:
+    # neg holds exactly the columns with a negative reduced cost, the
+    # integer red over red_scale is the Fraction rebuild, and each row is
+    # primitive without its scale, so a pivot row needs no division
     checked = []
 
     def checked_after(method):
@@ -436,8 +527,11 @@ def test_reduced_costs_and_bland_candidates_after_every_pivot(monkeypatch):
         monkeypatch.setattr(_Tableau, method.__name__, checked_call)
     checked_after(_Tableau._pivot)
     checked_after(_Tableau._rebuild_objective)
+    checked_after(_Tableau._crash)
+    blocks = _blocks_solved(monkeypatch)
     rng = random.Random(17)
-    lps = [make(rng) for make in (random_lp, _fraction_lp) for _ in range(30)]
+    lps = [make(rng) for make in (random_lp, _fraction_lp, random_block_lp)
+           for _ in range(30)]
     for _ in range(3):
         arr = essential_random_line_arrangement(rng, 7, coeff_range=6)
         lps.append(solve(bounded_complex(build_complex(arr))).lp)
@@ -446,7 +540,7 @@ def test_reduced_costs_and_bland_candidates_after_every_pivot(monkeypatch):
                           for _ in range(lp.nvars))
         for case in (lp, replace(lp, objective=objective)):
             solve_feasibility(case)
-    assert checked.count("_pivot") > 1000
+    assert checked.count("_pivot") > 1000 and len(blocks) > 50
 
 
 def _near_misses(res, rng):
