@@ -13,7 +13,9 @@ from arrlab.arrangement import (
     decone,
     default_decone_index,
 )
+from arrlab.arrangement import serialize_arrangement
 from arrlab.cells import Corner, corner_automorphisms, gamma_of
+from arrlab.cli import main
 from arrlab import falk
 from arrlab.falk import (
     _index_permutations,
@@ -169,6 +171,24 @@ def test_lid_reduced_solves_keep_the_optima(
     # the weights are constant on each orbit of the group
     for perm in lid_group:
         assert all(weights[perm[c]] == weights[c] for c in gamma_lid.corners)
+
+
+# stdout of `arrlab falk solve` on these inputs, plain, with
+# --minimize-total and with --equality-asphericity --minimize-total
+SYMMETRIC_SOLVES_SHA256 = (
+    "19183de760d1247e6740dda44f20061daab6c68252ea2247b53595b1427fe72a")
+
+
+def test_symmetric_solve_outputs_are_pinned(tmp_path, capsys):
+    square = tmp_path / "square.txt"
+    square.write_text(serialize_arrangement(interior_square()))
+    digest = hashlib.sha256()
+    for ref in ("@A3", "@B3", "@H3", str(square)):
+        for flags in ([], ["--minimize-total"],
+                      ["--equality-asphericity", "--minimize-total"]):
+            assert main(["falk", "solve", ref, *flags]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SYMMETRIC_SOLVES_SHA256
 
 
 def test_generic3_equality_optimum_is_a_third_per_corner():
