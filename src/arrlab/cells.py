@@ -28,8 +28,9 @@ per component.
 
 The automorphisms of the complex, read as maps of the rotation system of
 germs around the vertices, act on the corners; ``corner_automorphisms``
-lists those corner permutations, which ``falk.solve`` reduces the
-weight test by.
+lists those corner permutations as tuples of indices into
+``gamma.corners``, the one form ``falk.solve`` reduces the weight test
+by.
 """
 
 from __future__ import annotations
@@ -360,7 +361,9 @@ class BoundedComplex:
 
 def corner_automorphisms(gamma: BoundedComplex):
     """Corner permutations induced by the automorphisms of the cell
-    complex of ``gamma``, the identity left out.
+    complex of ``gamma``, the identity left out, each a tuple of corner
+    indices: ``image[n]`` is the index in ``gamma.corners`` of the image
+    of corner n.
 
     An automorphism is a map of the germ rotation system: vertex v goes to
     phi(v) and germ i at v to germ (k_v + eps*i) mod d at phi(v), with eps
@@ -406,27 +409,30 @@ def corner_automorphisms(gamma: BoundedComplex):
                     continue
                 if table is None:  # a trivial group never builds it
                     table, sectors = _sector_corners(gamma, rings)
-                perm = {}
+                perm = []
                 for c, s in zip(gamma.corners, sectors):
                     w, kv = vmap[c.vertex]
                     ring = table[w]
                     i = (kv + s) if eps == 1 else (kv - s - 1)
-                    perm[c] = ring[i % len(ring)]
-                found.append(perm)
+                    perm.append(ring[i % len(ring)])
+                found.append(tuple(perm))
     return found
 
 
 def _sector_corners(gamma, rings):
-    """(table, sectors): ``table[v][i]`` is gamma's corner in sector i at
-    vertex v (None where that face is unbounded) and ``sectors[n]`` the
-    sector of the n-th corner of ``gamma.corners``."""
+    """(table, sectors): ``table[v][i]`` is the index in ``gamma.corners``
+    of the corner in sector i at vertex v (None where that face is
+    unbounded) and ``sectors[n]`` the sector of the n-th corner."""
     cx = gamma.complex
-    corner_of = {(c.vertex, c.face): c for c in gamma.corners}
-    table = [[corner_of.get((vid, cx.sector_face(vid, i)))
+    index = {c: n for n, c in enumerate(gamma.corners)}
+    table = [[index.get(Corner(vid, cx.sector_face(vid, i)))
               for i in range(len(ring))] for vid, ring in enumerate(rings)]
-    sector = {c: i for row in table for i, c in enumerate(row)
-              if c is not None}
-    return table, [sector[c] for c in gamma.corners]
+    sectors = [0] * len(index)
+    for row in table:
+        for i, n in enumerate(row):
+            if n is not None:
+                sectors[n] = i
+    return table, sectors
 
 
 def _propagate(steps, base, image, k, eps):

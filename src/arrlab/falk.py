@@ -30,16 +30,19 @@ Type (iii) dominates type (iv) termwise, which the tests pin down.
 Each condition is one sparse lpcore row: ``(index, coeff)`` pairs over
 the corners in ``gamma.corners`` order, assembled by variable index, and
 the linear program is solved exactly by lpcore.  ``solve`` reduces it by
-the complex's own symmetry (``cells.corner_automorphisms``): the
-variables shrink to corner orbits and rows that become equal merge,
-which restricts the search to symmetric weight systems.  That loses
-nothing: each permutation, applied to the corner indices, must map the
-unreduced rows onto themselves (checked, else RuntimeError), so
-averaging a solution over the group gives an orbit-constant one with the
-same total weight.  Each permutation is checked directly or as a product
-of checked ones: only a kept subset maps the rows, and every other
-permutation is a composition of kept ones.  ``solve`` builds the
-unreduced system once, reduces it, re-checks the LP's witness or Farkas
+the complex's own symmetry (``cells.corner_automorphisms``, permutations
+of the corner indices): the variables shrink to corner orbits and rows
+that become equal merge, which restricts the search to symmetric weight
+systems.  That loses nothing: each permutation must be a bijection on
+the indices and map the unreduced rows onto themselves (checked, else
+RuntimeError), so averaging a solution over the group gives an
+orbit-constant one with the same total weight.  Each permutation is
+checked directly or as a product of checked ones: only a kept subset
+maps the rows, and every other permutation is a composition of kept
+ones.  The orbits are read from the kept subset too, and each stands for
+its largest corner index, so the reduced system depends only on the
+group, not on the order of its list.  ``solve`` builds the unreduced
+system once, reduces it, re-checks the LP's witness or Farkas
 certificate, and checks a feasible orbit solution, expanded to every
 corner, against the unreduced system; an infeasible one's Farkas
 certificate is over the orbit rows.  ``build_constraints`` and
@@ -181,14 +184,19 @@ def build_constraints(gamma: BoundedComplex, *,
 
 
 def _orbit_system(system, symmetry):
-    """The unreduced ``system`` over the orbits of ``symmetry``, rows that
-    become equal kept once, in order.  Coefficients are accumulated over
-    orbit members; RuntimeError unless the corner permutations leave the
-    unreduced system invariant."""
+    """The unreduced ``system`` over the orbits of ``symmetry``, a list of
+    corner index permutations, rows that become equal kept once, in order.
+    Coefficients are accumulated over orbit members; RuntimeError unless
+    each permutation is a bijection on the corner indices and they leave
+    the unreduced system invariant."""
     corners = system.variables
-    perms = _index_permutations(corners, symmetry)
-    roots, orbits, orbit_of = _corner_orbits(len(corners), perms)
-    _check_symmetry_invariance(system.rows, _kept_permutations(perms))
+    indices = list(range(len(corners)))
+    for image in symmetry:
+        if sorted(image) != indices:
+            raise RuntimeError("permutation is not a bijection on corners")
+    kept = _kept_permutations(symmetry)
+    _check_symmetry_invariance(system.rows, kept)
+    orbits, orbit_of = _corner_orbits(len(corners), kept)
     rows = []
     for row in system.rows:
         acc = {}
@@ -198,33 +206,16 @@ def _orbit_system(system, symmetry):
         rows.append(LPRow(tuple(sorted(acc.items())), row.rel, row.rhs,
                           row.tag))
     return ConstraintSystem(
-        tuple(corners[r] for r in roots),
+        tuple(corners[orbit[-1]] for orbit in orbits),
         tuple(tuple(corners[i] for i in orbit) for orbit in orbits),
         tuple(dict.fromkeys(rows)))
 
 
-def _index_permutations(corners, symmetry):
-    """Each corner permutation as the tuple of the images of the corner
-    indices; RuntimeError unless it is a bijection on ``corners``."""
-    index = {c: i for i, c in enumerate(corners)}
-    out = []
-    for perm in symmetry:
-        image = tuple(index.get(perm.get(c)) for c in corners)
-        if (len(perm) != len(corners) or None in image
-                or len(set(image)) != len(image)):
-            raise RuntimeError("permutation is not a bijection on corners")
-        out.append(image)
-    return out
-
-
 def _corner_orbits(n, perms):
-    """(roots, orbits, orbit of each index) of the group the index
-    permutations generate on range(n).  Each orbit is listed by ascending
-    index and represented by its union-find root; orbits are in the order
-    of their roots.  The partition depends only on the group, but the
-    roots depend on the order of ``perms``: the same group listed in
-    another order can pick other representatives, and so give the reduced
-    LP another column order and Bland's rule another pivot path."""
+    """(orbits, orbit of each index) of the group the index permutations
+    generate on range(n).  Each orbit is listed by ascending index and
+    stands for its largest index; orbits are in the order of that index,
+    so both depend only on the group, not on how ``perms`` list it."""
     parent = list(range(n))
 
     def find(i):
@@ -241,12 +232,12 @@ def _corner_orbits(n, perms):
     members = {}
     for i in range(n):
         members.setdefault(find(i), []).append(i)
-    roots = sorted(members)
+    orbits = sorted(members.values(), key=lambda orbit: orbit[-1])
     orbit_of = [0] * n
-    for o, r in enumerate(roots):
-        for i in members[r]:
+    for o, orbit in enumerate(orbits):
+        for i in orbit:
             orbit_of[i] = o
-    return roots, tuple(members[r] for r in roots), orbit_of
+    return tuple(orbits), orbit_of
 
 
 def _kept_permutations(perms):

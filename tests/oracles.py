@@ -16,7 +16,8 @@ and by point maps of the plane.  Dense constraint rows exist only here,
 built from the library's sparse rows by ``dense_coeffs``.  It also holds
 the seeded input generators and the small helpers only tests call: the
 exact sign, the three-way comparison, the Galois conjugate, circuit
-weight sums and the degree and value of an integer polynomial.
+weight sums, the degree and value of an integer polynomial, and a corner
+permutation turned from an index tuple into a ``Corner`` dict and back.
 """
 
 from __future__ import annotations
@@ -229,13 +230,25 @@ def find_factorization_bruteforce(arr: LineArrangement):
     return None
 
 
+def corner_permutation(corners, perm):
+    """A corner permutation in the other form: an index tuple (``perm[n]``
+    the index in ``corners`` of the image of corner n, as
+    ``corner_automorphisms`` gives it) as a ``Corner -> Corner`` dict, and
+    such a dict as an index tuple."""
+    if isinstance(perm, dict):
+        index = {c: n for n, c in enumerate(corners)}
+        return tuple(index[perm[c]] for c in corners)
+    return {c: corners[n] for c, n in zip(corners, perm)}
+
+
 def induced_line_permutation(gamma, perm):
     """A permutation sigma of the lines (line i -> sigma[i]) that maps
     the line set of every intersection point to that of a point, keeps
-    parallel classes, and induces the corner permutation ``perm`` (corner
-    (v, f) -> (sigma(v), sigma(f)), with faces known by their vertex
-    sets); None when there is none.  Backtracking over line images,
+    parallel classes, and induces the corner index permutation ``perm``
+    (corner (v, f) -> (sigma(v), sigma(f)), with faces known by their
+    vertex sets); None when there is none.  Backtracking over line images,
     pruned by the line sets of the vertices that carry corners."""
+    perm = corner_permutation(gamma.corners, perm)
     lines = gamma.complex.arrangement.lines
     n = len(lines)
     vertex_at = {v.lines: v.id for v in gamma.vertices}
@@ -274,15 +287,16 @@ def induced_line_permutation(gamma, perm):
 
 
 def point_map_permutation(gamma, move):
-    """The corner permutation induced by a map ``move`` of the plane that
-    sends the vertex set of Gamma onto itself, faces known by their vertex
-    sets."""
+    """The corner index permutation induced by a map ``move`` of the plane
+    that sends the vertex set of Gamma onto itself, faces known by their
+    vertex sets."""
     vertex_at = {v.point: v.id for v in gamma.vertices}
     face_at = {frozenset(f.vertex_ids): f.id for f in gamma.faces}
     vmap = {v.id: vertex_at[move(v.point)] for v in gamma.vertices}
     fmap = {f.id: face_at[frozenset(vmap[v] for v in f.vertex_ids)]
             for f in gamma.faces}
-    return {c: Corner(vmap[c.vertex], fmap[c.face]) for c in gamma.corners}
+    return corner_permutation(gamma.corners, {
+        c: Corner(vmap[c.vertex], fmap[c.face]) for c in gamma.corners})
 
 
 def interior_square() -> LineArrangement:

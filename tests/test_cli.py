@@ -307,9 +307,7 @@ def test_non_preserving_permutation_is_an_internal_error(monkeypatch,
     # a swap of two corners added to the group fails the invariance check
     # inside falk.solve: exit 3 and one stderr line, no traceback
     def with_swap(gam):
-        swap = {c: c for c in gam.corners}
-        a, b = gam.corners[:2]
-        swap[a], swap[b] = b, a
+        swap = (1, 0, *range(2, len(gam.corners)))
         return corner_automorphisms(gam) + [swap]
 
     monkeypatch.setattr("arrlab.falk.corner_automorphisms", with_swap)

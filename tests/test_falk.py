@@ -314,26 +314,22 @@ def test_symmetry_orbit_reduction():
 
 
 def test_bad_symmetry_rejected(gamma_lid, lid_group):
-    corners = gamma_lid.corners
+    n = len(gamma_lid.corners)
+    identity = tuple(range(n))
     # swapping just two corners of one face does not preserve incidences
-    perm = {c: c for c in corners}
-    a, b = corners[0], corners[1]
-    perm[a], perm[b] = b, a
+    swap = (1, 0) + identity[2:]
     full = build_constraints(gamma_lid)
-    with pytest.raises(RuntimeError):
-        _orbit_system(full, [perm])
+    with pytest.raises(RuntimeError, match="incidence"):
+        _orbit_system(full, [swap])
     # it is never a product of checked permutations: before or after the
     # true group it is still rejected
-    for perms in ([perm] + lid_group, lid_group + [perm]):
+    for perms in ([swap] + lid_group, lid_group + [swap]):
         with pytest.raises(RuntimeError, match="incidence"):
             _orbit_system(full, perms)
-    # a map that sends two corners to one is no permutation at all
-    perm[a] = a
-    with pytest.raises(RuntimeError, match="not a bijection"):
-        _orbit_system(full, [perm])
-    # nor is one that misses a corner or names a corner outside Gamma
-    for bad in ({c: c for c in corners[1:]},
-                {c: Corner(-1, -1) if c == a else c for c in corners}):
+    # a tuple that is too short, repeats an index, or names an index
+    # outside the corners is no permutation at all
+    for bad in (identity[1:], (0,) + identity[:-1], (-1,) + identity[1:],
+                identity[1:] + (n,)):
         with pytest.raises(RuntimeError, match="not a bijection"):
             _orbit_system(full, [bad])
 
