@@ -18,9 +18,11 @@ integer elimination and Avis's lrs: each row is a dict of ints with a
 positive row scale, and the exact row is the stored one over its scale.
 Bland's rule reads only signs and cross-multiplied ratios, so it makes the
 same pivots as on exact Fractions.  A feasible outcome carries a rational
-witness, each basic value being the row's rhs over its scale; an
-infeasible one carries Farkas multipliers, read from the phase-1 reduced
-costs of the surplus columns, one integer row over its own scale.  Both
+witness, each basic value being the row's rhs over its scale.  The
+objective is one more row of the tableau, the reduced costs over its
+scale, updated by the same elimination as every other row; an infeasible
+outcome carries Farkas multipliers, its phase-1 entries on the surplus
+columns over its scale.  Both
 are checkable by plain arithmetic in ``check_certificate`` without
 consulting any solver state: the witness, or the multipliers, go over one
 common denominator d, so each row is an integer sum compared with rhs * d.
@@ -116,8 +118,8 @@ class FeasibilityResult:
     objective_value: object | None = None
     # simplex pivots made, drive-outs included, those of them on a row
     # whose rhs was 0 (the basic values did not move), and the row entries
-    # combined with a pivot row entry in the rows it cleared; not part of
-    # the result's value
+    # combined with a pivot row entry in the constraint rows it cleared;
+    # not part of the result's value
     pivots: int = field(default=0, compare=False)
     degenerate_pivots: int = field(default=0, compare=False)
     entry_updates: int = field(default=0, compare=False)
@@ -150,11 +152,13 @@ class _Tableau:
     and ``cost`` but no stored column, since none may re-enter the basis
     once it has left.
 
+    Rows 0 .. m-1 are the constraints and row m the objective (below).
     Row r holds integers only.  ``rows[r]`` maps each column to its nonzero
     entry, and the exact row and rhs are ``rows[r]`` and ``rhs[r]`` divided
-    by the positive scale ``scale[r]``, the coefficient of the row's basic
-    variable.  The scale is kept beside the row because an artificial basic
-    variable has no stored column.  A row with Fraction data starts scaled
+    by the positive scale ``scale[r]``, for a constraint row the
+    coefficient of the row's basic variable.  The scale is kept beside the
+    row because an artificial basic variable has no stored column, and
+    row m has none.  A row with Fraction data starts scaled
     by the lcm of its denominators.  A pivot on entry ``piv`` (the pivot
     row's scale) clears column ``col`` from each other row with cofactors,
     as in Bareiss's integer-preserving elimination: with ``f`` the row's
@@ -167,17 +171,23 @@ class _Tableau:
     the rows with a nonzero in column j, so a pivot touches only those
     rows, and one loop in ``_eliminate`` does the whole update of a row.
 
-    The reduced costs are one integer row ``red`` over the positive
-    ``red_scale``, built from ints alone over the lcm of the cost
-    denominators and the costed rows' scales, and updated by each pivot
-    like a row.  That update multiplies ``red`` by ``piv/g > 0`` and
-    changes only the columns of the pivot row, so only those can change
-    sign: ``neg``, the set of columns with a negative reduced cost, is
-    kept up to date there, and Bland's entering column is ``min(neg)``.
+    As in the textbook tableau (G. Dantzig, "Linear programming and
+    extensions", 1963), the objective is one more row: row m over
+    ``scale[m]`` holds the reduced costs z_j = c_j - sum over rows of
+    c_basis * T[r][j], and ``rhs[m] / scale[m]`` is minus the objective
+    value.  ``_rebuild_objective`` builds it from ints alone over the lcm
+    of the cost denominators and the costed rows' scales, and each pivot
+    updates it in ``_eliminate`` like any other row; its gcd reduction
+    takes in its rhs and scale too.  That update multiplies row m by
+    ``piv/g > 0`` and changes only the columns of the pivot row, so only
+    those can change sign: ``neg``, the set of columns with a negative
+    reduced cost, is kept up to date there, and Bland's entering column
+    is ``min(neg)``.  Its entry in row m is negative, so the ratio test,
+    which takes only rows with a positive entry, never picks row m.
     A pivot on a row whose rhs is 0 moves no basic value and is counted in
     ``degenerate_pivots``; ``entry_updates`` counts the entries of the
-    pivot row off column ``col`` once for each row it clears, a work count
-    that does not depend on the machine.
+    pivot row off column ``col`` once for each constraint row it clears,
+    row m aside, a work count that does not depend on the machine.
     Only signs and cross-multiplied ratios are compared, so Bland's rule
     makes the same pivots as it would on the exact rows.
 
@@ -192,14 +202,14 @@ class _Tableau:
       tableau over the block's columns in ascending order, so Bland's rule
       sees the same column and tie order as here; blocks whose rows are
       equal over their local columns are solved once;
-    * each block's final rows, scales and basis are copied in, not
-      replayed;
+    * each block's final constraint rows, scales and basis are copied
+      in, not replayed;
     * the rows that start with a basic surplus link the blocks: each
       column now basic in a block is cleared from them by one cofactor
       combination, the update a pivot makes (``_eliminate``), which keeps
       them primitive;
     * a linking row whose rhs is then negative is negated and gets an
-      artificial, as at the start, and the reduced costs are rebuilt.
+      artificial, as at the start, and row m is rebuilt.
 
     The global phase 1 goes on from there.  With fewer than two blocks, as
     when = rows tie all the columns together, the start is the surplus and
@@ -215,8 +225,9 @@ class _Tableau:
     artificials times G.  The reduced cost of x column j is then
     -(y A)_j and that of row k's surplus column y_k.  At a phase-1
     optimum they are all >= 0 while the objective y . b is > 0, so
-    u_k = y_k, the surplus reduced costs, satisfy u >= 0, u A <= 0 and
-    u . b > 0: they are the multipliers of the ge-form rows.
+    u_k = y_k, row m's entry on surplus column k over its scale, satisfy
+    u >= 0, u A <= 0 and u . b > 0: they are the multipliers of the
+    ge-form rows.
     """
 
     def __init__(self, ge_rows, nvars):
@@ -255,7 +266,7 @@ class _Tableau:
 
     def _crash(self, ge_rows, nvars):
         """Start from the solved blocks of the artificial rows, when there
-        are two or more, then build the reduced costs."""
+        are two or more, then build row m, the objective."""
         art = [r for r, b in enumerate(self.basis) if b >= self.ncols]
         root = list(range(self.m))  # union-find over rows sharing a column
 
@@ -300,14 +311,16 @@ class _Tableau:
                 self.degenerate_pivots += sub.degenerate_pivots
                 self.entry_updates += sub.entry_updates
             glob = xs + [nvars + r for r in block]
-            for r, row, b, s, b_id in zip(block, sub.rows, sub.rhs,
-                                          sub.scale, sub.basis):
+            # row k of the block tableau is row r here; its row m, the
+            # block's objective, is not copied
+            for k, r in enumerate(block):
                 for j in rows[r]:
                     cols[j].discard(r)
-                rows[r] = {glob[j]: v for j, v in row.items()}
+                rows[r] = {glob[j]: v for j, v in sub.rows[k].items()}
                 for j in rows[r]:
                     cols[j].add(r)
-                self.rhs[r], self.scale[r] = b, s
+                self.rhs[r], self.scale[r] = sub.rhs[k], sub.scale[k]
+                b_id = sub.basis[k]
                 # a basic artificial has not left, so it is still row r's
                 if b_id < sub.ncols:
                     self.basis[r] = glob[b_id]
@@ -334,27 +347,35 @@ class _Tableau:
                 self.cost.append(1)
 
     def _rebuild_objective(self):
-        # reduced costs z_j = c_j - sum over rows of c_basis * T[r][j],
-        # times the common denominator d of every term
-        cost, scale = self.cost, self.scale
+        """Replace row m by the reduced costs z_j = c_j - sum over rows of
+        c_basis * T[r][j], with rhs minus the objective value, the sum of
+        c_basis * rhs[r], times the common denominator d of every term."""
+        m, cost, scale, rhs = self.m, self.cost, self.scale, self.rhs
+        for rows in self.cols:
+            rows.discard(m)
+        del self.rows[m:], rhs[m:], scale[m:]
         costed = [(r, cost[b]) for r, b in enumerate(self.basis) if cost[b]]
         d = math.lcm(*(c.denominator for c in cost if c),
                      *(c.denominator * scale[r] for r, c in costed))
-        red = {j: c.numerator * (d // c.denominator)
-               for j, c in enumerate(cost[:self.ncols]) if c}
+        z = {j: c.numerator * (d // c.denominator)
+             for j, c in enumerate(cost[:self.ncols]) if c}
+        b = 0
         for r, c in costed:
             k = c.numerator * (d // (c.denominator * scale[r]))
             for j, v in self.rows[r].items():
-                red[j] = red.get(j, 0) - k * v
-        g = math.gcd(d, *red.values())
-        self.red_scale = d // g
-        self.red = {j: z // g for j, z in red.items() if z}
-        self.neg = {j for j, z in self.red.items() if z < 0}
+                z[j] = z.get(j, 0) - k * v
+            b -= k * rhs[r]
+        g = math.gcd(d, b, *z.values())
+        z = {j: v // g for j, v in z.items() if v}
+        self.rows.append(z)
+        rhs.append(b // g)
+        scale.append(d // g)
+        for j in z:
+            self.cols[j].add(m)
+        self.neg = {j for j, v in z.items() if v < 0}
 
     def objective_value(self):
-        return sum((Fraction(self.cost[b] * self.rhs[r], self.scale[r])
-                    for r, b in enumerate(self.basis)
-                    if self.cost[b]), Fraction(0))
+        return Fraction(-self.rhs[self.m], self.scale[self.m])
 
     def _eliminate(self, r, col):
         """Clear column col from every other row with row r, whose entry
@@ -371,7 +392,9 @@ class _Tableau:
         pairs = [(j, v) for j, v in rows[r].items() if j != col]
         others = cols[col]
         cols[col] = {r}
-        self.entry_updates += (len(others) - 1) * len(pairs)
+        # constraint rows only: row m, the objective, is not counted
+        self.entry_updates += ((len(others) - 1 - (self.m in others))
+                               * len(pairs))
         for rr in others:
             if rr == r:
                 continue
@@ -424,38 +447,18 @@ class _Tableau:
         # (that of its basic column, or -scale on the surplus of its basic
         # artificial)
         rhs[r], scale[r] = b, piv
+        costed = self.m in self.cols[col]
         pairs = self._eliminate(r, col)
-        red = self.red
-        f = red.pop(col, 0)
-        if f:
-            neg = self.neg
+        if costed:
+            # row m became a positive multiple of itself minus one of row
+            # r, so only the columns of row r can have changed sign
+            z, neg = rows[self.m], self.neg
             neg.discard(col)
-            g = math.gcd(piv, f)
-            q = f // g
-            s2 = self.red_scale
-            if g != piv:
-                p = piv // g
-                for j in red:
-                    red[j] *= p
-                s2 *= p
-            for j, v in pairs:
-                w = red.get(j, 0) - q * v
-                if w:
-                    red[j] = w
-                    if w < 0:
-                        neg.add(j)
-                    else:
-                        neg.discard(j)
+            for j, _ in pairs:
+                if z.get(j, 0) < 0:
+                    neg.add(j)
                 else:
-                    del red[j]
                     neg.discard(j)
-            if s2 > 1:
-                g = math.gcd(s2, *red.values())
-                if g > 1:
-                    for j in red:
-                        red[j] //= g
-                    s2 //= g
-            self.red_scale = s2
         self.basis[r] = col
         self.pivots += 1
 
@@ -497,11 +500,12 @@ def solve_feasibility(lp: StandardFormLP) -> FeasibilityResult:
 
     tab.run()
     if tab.objective_value() > 0:
-        # infeasible: the multiplier of ge-form row k is the reduced cost
-        # of its surplus column; '=' rows map back through sigma
+        # infeasible: the multiplier of ge-form row k is row m's entry on
+        # its surplus column; '=' rows map back through sigma
         mults = [Fraction(0)] * len(lp.rows)
         for k, (orig, sigma) in enumerate(back):
-            u = Fraction(tab.red.get(lp.nvars + k, 0), tab.red_scale)
+            u = Fraction(tab.rows[tab.m].get(lp.nvars + k, 0),
+                         tab.scale[tab.m])
             mults[orig] += sigma * u if lp.rows[orig].rel == EQ else u
         return result(INFEASIBLE, certificate=tuple(mults))
     if lp.objective is None:
@@ -551,9 +555,9 @@ def violated_rows(rows, x):
 def check_certificate(lp: StandardFormLP, result: FeasibilityResult) -> bool:
     """Independent arithmetic re-check of a witness or Farkas certificate.
 
-    The witness, or the multipliers, must be ints or Fractions; they are
-    scaled by the lcm of their denominators, so with integer LP data every
-    sum is an int.
+    The witness, or the multipliers, and the objective value must be ints
+    or Fractions.  The witness, or the multipliers, are scaled by the lcm
+    of their denominators, so with integer LP data every sum is an int.
     """
     if result.status == FEASIBLE:
         x = result.witness
@@ -563,7 +567,7 @@ def check_certificate(lp: StandardFormLP, result: FeasibilityResult) -> bool:
         if lp.objective is None:
             return True
         d, xs = _scaled(x)
-        return (result.objective_value is not None
+        return (isinstance(result.objective_value, (int, Fraction))
                 and sum(map(operator.mul, lp.objective, xs))
                 == result.objective_value * d)
     if result.status == INFEASIBLE:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from arrlab.arrangement import (
     AffineLine,
@@ -821,20 +820,23 @@ class DenseTableau:
 
 
 def fraction_reduced_costs(tab) -> tuple:
-    """The reduced costs of the sparse ``lpcore._Tableau`` rebuilt from its
-    cost, basis and scaled rows with Fractions, as ``(red, red_scale)``:
-    the nonzero entries as ints over the least positive common
-    denominator, the form that the tableau keeps up to date."""
-    # z_j = c_j - sum over rows of c_basis * T[r][j]
+    """The reduced costs and the objective value of the sparse
+    ``lpcore._Tableau`` rebuilt from its cost, basis and scaled constraint
+    rows with Fractions, as ``(red, value)``: red maps each column with a
+    nonzero reduced cost to it, and value is the cost of the basic
+    solution, the two that the tableau's row m keeps up to date."""
+    # z_j = c_j - sum over rows of c_basis * T[r][j], and the value is the
+    # sum over rows of c_basis * rhs[r]
     red = {j: Fraction(c) for j, c in enumerate(tab.cost[:tab.ncols]) if c}
+    value = Fraction(0)
     for r, b in enumerate(tab.basis):
         cb = tab.cost[b]
         if cb:
             f = Fraction(cb, tab.scale[r])
             for j, v in tab.rows[r].items():
                 red[j] = red.get(j, 0) - f * v
-    red_scale = lcm(*(z.denominator for z in red.values()))
-    return {j: int(z * red_scale) for j, z in red.items() if z}, red_scale
+            value += f * tab.rhs[r]
+    return {j: z for j, z in red.items() if z}, value
 
 
 def dense_simplex_reference(lp: StandardFormLP) -> FeasibilityResult:

@@ -447,7 +447,9 @@ def test_sparse_rows_are_primitive_scalings_of_the_dense_rows():
         assert tab.run() == dense.run()
         assert tab.basis == dense.basis and tab.pivots == dense.pivots
         assert tab.entry_updates == dense.entry_updates
-        for r, row in enumerate(tab.rows):
+        # rows 0 .. m-1 are the constraints, row m the objective
+        assert len(tab.rows) == tab.m + 1
+        for r, row in enumerate(tab.rows[:tab.m]):
             s = tab.scale[r]
             # primitive even without the scale, which is one of the entries
             assert s > 0 and math.gcd(tab.rhs[r], *row.values()) == 1
@@ -457,9 +459,13 @@ def test_sparse_rows_are_primitive_scalings_of_the_dense_rows():
             assert F(tab.rhs[r], s) == dense.rhs[r]
         for j, rows in enumerate(tab.cols):
             assert rows == {r for r, row in enumerate(tab.rows) if j in row}
-        assert math.gcd(tab.red_scale, *tab.red.values()) == 1
-        assert [F(tab.red.get(j, 0), tab.red_scale)
-                for j in range(tab.ncols)] == dense.red
+        # row m: the reduced costs, and minus the objective value as rhs
+        z, s = tab.rows[tab.m], tab.scale[tab.m]
+        assert s > 0 and math.gcd(tab.rhs[tab.m], s, *z.values()) == 1
+        assert 0 not in z.values()
+        assert [F(z.get(j, 0), s) for j in range(tab.ncols)] == dense.red
+        assert F(-tab.rhs[tab.m], s) == tab.objective_value() \
+            == dense.objective_value()
 
 
 @pytest.fixture(scope="module")
@@ -511,18 +517,28 @@ def test_census_shape_outcomes(census_shape_results):
 def test_reduced_costs_and_bland_candidates_after_every_pivot(monkeypatch):
     # right after each crash start and after each rebuild and each pivot,
     # on random, Fraction, block-angular and weight LPs, phase 2 included:
-    # neg holds exactly the columns with a negative reduced cost, the
-    # integer red over red_scale is the Fraction rebuild, and each row is
-    # primitive without its scale, so a pivot row needs no division
+    # row m, the objective, follows the m constraint rows and is listed
+    # in cols exactly where it has entries; neg holds exactly the columns
+    # with a negative reduced cost; row m over its scale is the Fraction
+    # rebuild of the reduced costs, with minus the objective value as its
+    # rhs; and each constraint row is primitive without its scale, so a
+    # pivot row needs no division
     checked = []
 
     def checked_after(method):
         def checked_call(tab, *args):
             method(tab, *args)
-            assert tab.neg == {j for j, z in tab.red.items() if z < 0}
-            assert (tab.red, tab.red_scale) == fraction_reduced_costs(tab)
+            m = tab.m
+            z, s = tab.rows[m], tab.scale[m]
+            assert len(tab.rows) == len(tab.rhs) == len(tab.scale) == m + 1
+            assert {j for j, rows in enumerate(tab.cols) if m in rows} \
+                == set(z)
+            assert tab.neg == {j for j, v in z.items() if v < 0}
+            red, value = fraction_reduced_costs(tab)
+            assert ({j: F(v, s) for j, v in z.items()},
+                    F(-tab.rhs[m], s)) == (red, value)
             assert all(math.gcd(b, *row.values()) == 1
-                       for b, row in zip(tab.rhs, tab.rows))
+                       for b, row in zip(tab.rhs[:m], tab.rows[:m]))
             checked.append(method.__name__)
         monkeypatch.setattr(_Tableau, method.__name__, checked_call)
     checked_after(_Tableau._pivot)
@@ -591,3 +607,9 @@ def test_inexact_certificates_rejected():
     lp = StandardFormLP(1, (LPRow(X, ">=", 2),))
     assert not check_certificate(lp, FeasibilityResult(FEASIBLE,
                                                         witness=(2.0,)))
+    # minimize x on x >= 2: the optimum 2 is exact only as an int or a
+    # Fraction, like the witness
+    lp = replace(lp, objective=(1,))
+    for value, ok in ((2, True), (F(2), True), (2.0, False)):
+        res = FeasibilityResult(FEASIBLE, witness=(2,), objective_value=value)
+        assert check_certificate(lp, res) is ok
