@@ -1,3 +1,4 @@
+import hashlib
 import random
 import warnings
 from collections import Counter
@@ -38,6 +39,7 @@ from oracles import (
     golden_line_arrangement,
     line_orders_by_sort,
     poly_value,
+    random_line_arrangement,
     sign,
 )
 
@@ -354,3 +356,51 @@ def test_germ_and_line_order_match_cross_product_oracle(lid_complex):
             check_order_against_cross_products(build_complex(arr))
     # every field brings horizontal, vertical, b > 0 and parallel lines
     assert len(seen) == 8 and all(seen.values())
+
+
+# -- face tables ---------------------------------------------------------------
+
+def face_table_corpus():
+    """Complexes with cycle, path and multipath links, strips and no
+    vertices: the icosidodecahedral, H3 and B3 sections, generic3, the boxed
+    diagonals, a parallel pencil and seeded inputs over Q and Q(sqrt5)."""
+    arrs = [decone(arr, default_decone_index(arr))
+            for arr in map(builtin, ("icosidodecahedral", "H3", "B3"))]
+    arrs += [builtin("generic3"),
+             lines((1, -1, 0), (1, 1, 0), (1, 0, 1), (1, 0, -1)),
+             lines((1, 0, 0), (1, 0, 1), (1, 0, 2))]
+    rng = random.Random(24)
+    for _ in range(5):
+        arrs.append(random_line_arrangement(rng, rng.randint(5, 14)))
+        arrs.append(golden_line_arrangement(rng, rng.randint(5, 10)))
+    complexes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the boxed diagonals' multipath
+        for arr in arrs:
+            cx = build_complex(arr)
+            complexes.append((cx, bounded_complex(cx)))
+    return complexes
+
+
+def face_tables_text(cx, gam):
+    """Every face, every vertex's germ ring and sector faces, and the
+    corners, one per line."""
+    out = [f"face {f.id} {f.bounded} {f.vertex_ids} {f.edge_ids} "
+           f"{sorted(f.boundary_lines)}" for f in cx.faces]
+    for v in cx.vertices:
+        ring = cx.germ_edges(v.id)
+        out.append(f"vertex {v.id} {list(ring)} "
+                   f"{[cx.sector_face(v.id, i) for i in range(len(ring))]}")
+    out.append(" ".join(f"({c.vertex},{c.face})" for c in gam.corners))
+    return "".join(line + "\n" for line in out)
+
+
+FACE_TABLES_SHA256 = (
+    "a56494525054e83cc5f0e20b5c24e444d4cb84fa9bf115e5c585666b91ba9afe")
+
+
+def test_face_tables_are_pinned():
+    digest = hashlib.sha256()
+    for cx, gam in face_table_corpus():
+        digest.update(face_tables_text(cx, gam).encode())
+    assert digest.hexdigest() == FACE_TABLES_SHA256
