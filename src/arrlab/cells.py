@@ -3,12 +3,18 @@
 The plane stratified by an arrangement decomposes into vertices (pairwise
 intersection points), edges (maximal pieces of lines between consecutive
 vertices: segments, rays, or whole vertex-free lines) and open convex faces.
-Faces are discovered by walking half-edges with the face on the left: a
-bounded face is a closed walk, an unbounded face the chain from its inward
-ray to its outward ray.  Orientation is read from the normal form: every
-line is stored with the first nonzero of (a, b) equal to 1, so the germs
-around a vertex and the vertices along a line are ordered by comparing
-coefficients and coordinates, with no products and no trigonometry.
+The complex is stored as its rotation system (J. Edmonds, Notices AMS 1960;
+B. Mohar and C. Thomassen, Graphs on Surfaces, 2001): the germs of edges
+around each vertex in ccw order, and for each segment germ the vertex and
+position at which it arrives.  A sector (v, i) is the wedge ccw of germ i
+at v; faces are the orbits of the walk that follows germ i to the vertex w
+where it arrives as germ j and turns to the sector (w, j - 1) clockwise of
+it.  A bounded face is a closed orbit, an unbounded face the chain from
+the sector clockwise of its inward ray to its outward ray.  Orientation is
+read from the normal form: every line is stored with the first nonzero of
+(a, b) equal to 1, so the germs around a vertex and the vertices along a
+line are ordered by comparing coefficients and coordinates, with no
+products and no trigonometry.
 
 Each face stands for a pair of antipodal chambers of the cone over the
 arrangement; their walls are the face's boundary lines plus the plane at
@@ -16,7 +22,8 @@ infinity when the face reaches infinity along more than a point.
 
 The bounded complex keeps every vertex, the segment edges and the bounded
 faces; ids are deterministic: vertices sorted lexicographically by
-coordinates, bounded faces by their sorted vertex-id lists.
+coordinates, bounded faces by their sorted vertex-id lists.  Its corners
+are the sectors whose face is bounded.
 
 A vertex link lists the incident bounded edges in angular order; two
 angularly consecutive edges are joined exactly when the face between them is
@@ -26,11 +33,10 @@ or in principle several paths; disconnected links never occur in the inputs
 the package was written for, so they are flagged with a warning and handled
 per component.
 
-The automorphisms of the complex, read as maps of the rotation system of
-germs around the vertices, act on the corners; ``corner_automorphisms``
-lists those corner permutations as tuples of indices into
-``gamma.corners``, the one form ``falk.solve`` reduces the weight test
-by.
+The automorphisms of the complex, read as maps of the rotation system,
+act on the corners; ``corner_automorphisms`` lists those corner
+permutations as tuples of indices into ``gamma.corners``, the one form
+``falk.solve`` reduces the weight test by.
 """
 
 from __future__ import annotations
@@ -102,26 +108,31 @@ class Corner:
 
 
 class CellComplex:
-    """The full stratification, including unbounded edges and faces."""
+    """The full stratification, including unbounded edges and faces.
 
-    def __init__(self, arrangement, vertices, edges, faces, germs, face_of):
+    Per vertex it keeps the rotation system: the germ ring, ``rotation``
+    (where each segment germ arrives) and the face in each sector."""
+
+    def __init__(self, arrangement, vertices, edges, faces, germs, rotation,
+                 sectors):
         self.arrangement = arrangement
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.faces = tuple(faces)
         # germs[v] = edge ids around vertex v in ccw angular order (2m of them)
         self._germs = germs
-        # face_of[(edge, germ owner vertex)] -> id of the face in the sector
-        # counterclockwise of that germ
-        self._face_of_germ = face_of
+        # rotation[v][i] = (w, j) when germ i at v is a segment arriving at
+        # w as w's germ j; None for a ray
+        self.rotation = rotation
+        # sectors[v][i] = id of the face in the sector ccw of germ i at v
+        self._sectors = sectors
 
     def germ_edges(self, vertex: int):
         return self._germs[vertex]
 
     def sector_face(self, vertex: int, position: int) -> int:
         """Face between germ `position` and the next germ ccw."""
-        edge = self._germs[vertex][position]
-        return self._face_of_germ[(edge, vertex)]
+        return self._sectors[vertex][position]
 
     def bounded_faces(self):
         return tuple(f for f in self.faces if f.bounded)
@@ -156,7 +167,8 @@ def build_complex(arr: LineArrangement) -> CellComplex:
             on_line[i].reverse()
 
     edges = []
-    germ_keys = {v.id: [] for v in vertices}  # (sort key, edge id)
+    # per vertex: (sort key, edge id, end), end 0 at the edge's v0, 1 at v1
+    germ_keys = [[] for _ in vertices]
 
     def add_edge(line, kind, v0=None, v1=None):
         e = EdgeCell(len(edges), line, kind, v0, v1)
@@ -174,61 +186,55 @@ def build_complex(arr: LineArrangement) -> CellComplex:
         backward = (steep, steep, arr.lines[i].b)
         vids = on_line[i]
         lead = add_edge(i, RAY, v0=vids[0])
-        germ_keys[vids[0]].append((backward, lead.id))
+        germ_keys[vids[0]].append((backward, lead.id, 0))
         for a, b in zip(vids, vids[1:]):
             seg = add_edge(i, SEGMENT, v0=a, v1=b)
-            germ_keys[a].append((forward, seg.id))
-            germ_keys[b].append((backward, seg.id))
+            germ_keys[a].append((forward, seg.id, 0))
+            germ_keys[b].append((backward, seg.id, 1))
         trail = add_edge(i, RAY, v0=vids[-1])
-        germ_keys[vids[-1]].append((forward, trail.id))
+        germ_keys[vids[-1]].append((forward, trail.id, 0))
 
-    germs = {}
-    germ_pos = {}
-    for vid, items in germ_keys.items():
-        # lines through one vertex have distinct (a, b): keys never tie
-        germs[vid] = [eid for _, eid in sorted(items)]
-        for pos, eid in enumerate(germs[vid]):
-            germ_pos[(eid, vid)] = pos
+    # the rotation system: germ rings, and where each segment germ arrives
+    ends = [[None, None] for _ in edges]  # (vertex, position) at v0, v1
+    for vid, items in enumerate(germ_keys):
+        items.sort()  # lines through one vertex have distinct (a, b)
+        for pos, (_, eid, end) in enumerate(items):
+            ends[eid][end] = (vid, pos)
+    germs = [[eid for _, eid, _ in items] for items in germ_keys]
+    rotation = [[ends[eid][1 - end] for _, eid, end in items]
+                for items in germ_keys]
 
-    # half-edges: (edge, 0) runs along the stored orientation (segment
-    # v0 -> v1, ray outward), (edge, 1) the reverse (ray: inward).
-    def head(he):
-        """The vertex a half-edge runs into; None for an outward ray."""
-        e = edges[he[0]]
-        return e.v1 if he[1] == 0 else e.v0
-
-    def leaving(eid, w):
-        """The half-edge of edge `eid` that leaves vertex `w`."""
-        return (eid, 0 if edges[eid].v0 == w else 1)
-
-    def walk(start):
-        """Half-edges of the face left of `start`: at each head vertex turn
-        to the next germ clockwise, until an outward ray leaves to infinity
-        or the walk closes."""
-        chain = [start]
-        while (w := head(chain[-1])) is not None:
-            ring = germs[w]
-            he = leaving(ring[germ_pos[(chain[-1][0], w)] - 1], w)
-            if he == start:
-                break
-            chain.append(he)
-        return chain
-
-    # inward rays go first: each walks the whole chain of its unbounded
-    # face, so the segment half-edges left over close up as bounded faces
-    starts = [(e.id, 1) for e in edges if e.kind == RAY]
-    starts += [(e.id, s) for e in edges if e.kind == SEGMENT for s in (0, 1)]
-    he_face = {}
+    # walk the faces over sectors (see the module docstring).  The sectors
+    # clockwise of inward rays go first: each walks the whole chain of its
+    # unbounded face, so the segment sectors left over close up as bounded
+    # faces
+    starts = [(e.v0, ends[e.id][0][1] - 1) for e in edges if e.kind == RAY]
+    starts += [ends[e.id][end] for e in edges if e.kind == SEGMENT
+               for end in (0, 1)]
+    sectors = [[None] * len(ring) for ring in germs]
     records = []
-    for start in starts:
-        if start in he_face:
+    for v, i in starts:
+        i %= len(germs[v])  # clockwise of a ray at position 0 wraps around
+        if sectors[v][i] is not None:
             continue
-        chain = walk(start)
-        for he in chain:
-            he_face[he] = len(records)
-        vids = tuple(map(head, chain))
-        bounded = vids[-1] is not None
-        records.append((bounded, vids if bounded else vids[:-1],
+        # the walk's edges, each with the vertex it runs into
+        start, chain = (v, i), []
+        while True:
+            sectors[v][i] = len(records)
+            step = rotation[v][i]
+            chain.append((germs[v][i], step[0] if step else None))
+            if step is None:
+                break
+            v, j = step
+            i = (j - 1) % len(germs[v])
+            if (v, i) == start:
+                break
+        bounded = step is not None
+        if not bounded:  # the chain of an unbounded face opens inward
+            v, i = start
+            chain.insert(0, (germs[v][(i + 1) % len(germs[v])], v))
+        records.append((bounded,
+                        tuple(w for _, w in chain if w is not None),
                         tuple(eid for eid, _ in chain)))
 
     order = sorted(
@@ -236,19 +242,16 @@ def build_complex(arr: LineArrangement) -> CellComplex:
         key=lambda k: (not records[k][0],
                        tuple(sorted(records[k][1])),
                        tuple(sorted(records[k][2]))))
-    new_id = {old: new for new, old in enumerate(order)}
+    new_id = [0] * len(records)
     faces = []
     for new, old in enumerate(order):
+        new_id[old] = new
         bounded, vids, eids = records[old]
         faces.append(FaceCell(new, bounded, vids, eids,
                               frozenset(edges[e].line for e in eids)))
+    sectors = [[new_id[k] for k in row] for row in sectors]
 
-    # face lying in the sector ccw of each germ = face left of the germ's
-    # outgoing half-edge
-    face_of = {(eid, vid): new_id[he_face[leaving(eid, vid)]]
-               for vid, ring in germs.items() for eid in ring}
-
-    return CellComplex(arr, vertices, edges, faces, germs, face_of)
+    return CellComplex(arr, vertices, edges, faces, germs, rotation, sectors)
 
 
 def _parallel_pencil_complex(arr: LineArrangement) -> CellComplex:
@@ -268,7 +271,7 @@ def _parallel_pencil_complex(arr: LineArrangement) -> CellComplex:
             lines.append(order[k])
         faces.append(FaceCell(k, False, (), tuple(
             e.id for e in edges if e.line in lines), frozenset(lines)))
-    return CellComplex(arr, (), tuple(edges), tuple(faces), {}, {})
+    return CellComplex(arr, (), tuple(edges), tuple(faces), [], [], [])
 
 
 @dataclass(frozen=True)
@@ -295,7 +298,12 @@ class Link:
 
 class BoundedComplex:
     """The bounded strata: all vertices, segment edges, bounded faces,
-    corners, and per-vertex links."""
+    corners, and per-vertex links.
+
+    Corners are numbered vertex by vertex, each vertex's bounded sectors in
+    face-id order, so they come sorted by (vertex, face);
+    ``sector_corners[v][i]`` is the index of the corner in sector i at
+    vertex v, or None where that sector's face is unbounded."""
 
     def __init__(self, complex_: CellComplex):
         self.complex = complex_
@@ -303,9 +311,15 @@ class BoundedComplex:
         self.edges = tuple(e for e in complex_.edges if e.bounded)
         self.faces = complex_.bounded_faces()
         corners = []
-        for f in self.faces:
-            corners.extend(Corner(v, f.id) for v in f.vertex_ids)
-        corners.sort()
+        self.sector_corners = []
+        for v in self.vertices:
+            sectors = complex_._sectors[v.id]
+            row = [None] * len(sectors)
+            for f, i in sorted((f, i) for i, f in enumerate(sectors)
+                               if complex_.faces[f].bounded):
+                row[i] = len(corners)
+                corners.append(Corner(v.id, f))
+            self.sector_corners.append(row)
         self.corners = tuple(corners)
         self._links = {v.id: self._build_link(v.id) for v in self.vertices}
 
@@ -319,18 +333,17 @@ class BoundedComplex:
         cx = self.complex
         ring = cx.germ_edges(vid)
         k = len(ring)
-        bounded_germ = [cx.edges[e].bounded for e in ring]
-        sector_bounded = [cx.faces[cx.sector_face(vid, i)].bounded
-                          for i in range(k)]
-        joined = [sector_bounded[i] and bounded_germ[i]
+        bounded_germ = [step is not None for step in cx.rotation[vid]]
+        sector = self.sector_corners[vid]
+        joined = [sector[i] is not None and bounded_germ[i]
                   and bounded_germ[(i + 1) % k] for i in range(k)]
         for i in range(k):
-            if sector_bounded[i] and not joined[i]:
+            if sector[i] is not None and not joined[i]:
                 raise RuntimeError(f"vertex {vid}: a bounded sector face "
                                    f"is flanked by a ray")
 
         def corner_at(i):
-            return Corner(vid, cx.sector_face(vid, i))
+            return self.corners[sector[i]]
 
         if all(joined):
             comp = LinkComponent(tuple(ring),
@@ -365,77 +378,48 @@ def corner_automorphisms(gamma: BoundedComplex):
     indices: ``image[n]`` is the index in ``gamma.corners`` of the image
     of corner n.
 
-    An automorphism is a map of the germ rotation system: vertex v goes to
-    phi(v) and germ i at v to germ (k_v + eps*i) mod d at phi(v), with eps
-    = -1 for the orientation-reversing maps, segments going to segments
-    and rays to rays.  The image of one flag (a vertex, a germ, eps)
-    determines the whole map, because the segments connect every vertex,
-    so the search fixes a flag at a base vertex and propagates each
+    An automorphism is a map of the rotation system ``rotation``: vertex v
+    goes to phi(v) and germ i at v to germ (k_v + eps*i) mod d at phi(v),
+    with eps = -1 for the orientation-reversing maps, segments going to
+    segments and rays to rays.  The image of one flag (a vertex, a germ,
+    eps) determines the whole map, because the segments connect every
+    vertex, so the search fixes a flag at a base vertex and propagates each
     candidate image along the segments.  A propagation that closes up
     consistently is a local isomorphism of the connected segment graph
     onto a graph with as many vertices, hence a bijection.  Sector i (ccw
-    of germ i) goes to sector k_v + i, or to k_v - i - 1 when eps = -1.
-    Without corners every automorphism acts trivially on them, so the
-    result is []; with one bounded face the action is faithful.
+    of germ i) goes to sector k_v + i, or to k_v - i - 1 when eps = -1, and
+    ``gamma.sector_corners`` names the corner in each sector.  Without
+    corners every automorphism acts trivially on them, so the result is
+    []; with one bounded face the action is faithful.
     """
     cx = gamma.complex
-    if not gamma.corners:
+    if not gamma.corners or not cx.vertices:
         return []
-    rings = [cx.germ_edges(v.id) for v in cx.vertices]
-    position = {(eid, vid): i for vid, ring in enumerate(rings)
-                for i, eid in enumerate(ring)}
-    # steps[v][i]: (w, j) when germ i at v is a segment arriving at w as
-    # w's germ j; None for a ray
-    steps = []
-    for vid, ring in enumerate(rings):
-        out = []
-        for eid in ring:
-            e = cx.edges[eid]
-            w = e.v1 if e.v0 == vid else e.v0
-            out.append((w, position[(eid, w)]) if e.bounded else None)
-        steps.append(out)
+    rotation, table = cx.rotation, gamma.sector_corners
     base = 0
-    images = [vid for vid, ring in enumerate(rings)
-              if len(ring) == len(rings[base])]
-    table = None
     found = []
-    for image in images:
-        for k in range(len(steps[base])):
+    for image, ring in enumerate(rotation):
+        if len(ring) != len(rotation[base]):
+            continue
+        for k in range(len(ring)):
             for eps in (1, -1):
                 if (image, k, eps) == (base, 0, 1):
                     continue
-                vmap = _propagate(steps, base, image, k, eps)
+                vmap = _propagate(rotation, base, image, k, eps)
                 if vmap is None:
                     continue
-                if table is None:  # a trivial group never builds it
-                    table, sectors = _sector_corners(gamma, rings)
-                perm = []
-                for c, s in zip(gamma.corners, sectors):
-                    w, kv = vmap[c.vertex]
-                    ring = table[w]
-                    i = (kv + s) if eps == 1 else (kv - s - 1)
-                    perm.append(ring[i % len(ring)])
+                perm = [0] * len(gamma.corners)
+                for v, (w, kv) in vmap.items():
+                    target = table[w]
+                    shift = kv if eps == 1 else kv - 1
+                    for i, n in enumerate(table[v]):
+                        if n is not None:
+                            perm[n] = target[(shift + eps * i) % len(target)]
                 found.append(tuple(perm))
     return found
 
 
-def _sector_corners(gamma, rings):
-    """(table, sectors): ``table[v][i]`` is the index in ``gamma.corners``
-    of the corner in sector i at vertex v (None where that face is
-    unbounded) and ``sectors[n]`` the sector of the n-th corner."""
-    cx = gamma.complex
-    index = {c: n for n, c in enumerate(gamma.corners)}
-    table = [[index.get(Corner(vid, cx.sector_face(vid, i)))
-              for i in range(len(ring))] for vid, ring in enumerate(rings)]
-    sectors = [0] * len(index)
-    for row in table:
-        for i, n in enumerate(row):
-            if n is not None:
-                sectors[n] = i
-    return table, sectors
-
-
-def _propagate(steps, base, image, k, eps):
+def _propagate(rotation, base, image, k, eps):
     """{v: (phi(v), k_v)} of the rotation-system map sending germ i at
     ``base`` to germ (k + eps*i) mod d at ``image``; None if there is no
     such map."""
@@ -444,7 +428,7 @@ def _propagate(steps, base, image, k, eps):
     while stack:
         v = stack.pop()
         w, kv = vmap[v]
-        ring, target = steps[v], steps[w]
+        ring, target = rotation[v], rotation[w]
         for i, step in enumerate(ring):
             hit = target[(kv + eps * i) % len(ring)]
             if (step is None) != (hit is None):
@@ -452,9 +436,9 @@ def _propagate(steps, base, image, k, eps):
             if step is None:
                 continue
             (u, j), (x, jx) = step, hit
-            if len(steps[u]) != len(steps[x]):
+            if len(rotation[u]) != len(rotation[x]):
                 return None
-            ku = (jx - eps * j) % len(steps[u])
+            ku = (jx - eps * j) % len(rotation[u])
             if u not in vmap:
                 vmap[u] = (x, ku)
                 stack.append(u)

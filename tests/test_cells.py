@@ -22,6 +22,7 @@ from arrlab.cells import (
     CYCLE,
     MULTIPATH,
     PATH,
+    Corner,
     bounded_complex,
     build_complex,
     chamber_walls,
@@ -404,3 +405,28 @@ def test_face_tables_are_pinned():
     for cx, gam in face_table_corpus():
         digest.update(face_tables_text(cx, gam).encode())
     assert digest.hexdigest() == FACE_TABLES_SHA256
+
+
+def test_rotation_and_sector_tables_agree():
+    for cx, gam in face_table_corpus():
+        index = {c: n for n, c in enumerate(gam.corners)}
+        sectors_of = Counter()
+        for v in cx.vertices:
+            ring = cx.germ_edges(v.id)
+            assert len(cx.rotation[v.id]) == len(ring)
+            for i, eid in enumerate(ring):
+                # the table is an involution on segment germs, None on rays
+                step = cx.rotation[v.id][i]
+                assert (step is None) == (cx.edges[eid].kind == "ray")
+                if step is not None:
+                    w, j = step
+                    assert cx.germ_edges(w)[j] == eid
+                    assert cx.rotation[w][j] == (v.id, i)
+                face = cx.faces[cx.sector_face(v.id, i)]
+                assert v.id in face.vertex_ids
+                sectors_of[face.id] += 1
+                expected = index[Corner(v.id, face.id)] if face.bounded \
+                    else None
+                assert gam.sector_corners[v.id][i] == expected
+        # one sector at each vertex of a face's closure
+        assert all(sectors_of[f.id] == f.size for f in cx.faces)
