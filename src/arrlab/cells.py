@@ -27,11 +27,11 @@ are the sectors whose face is bounded.
 
 A vertex link lists the incident bounded edges in angular order; two
 angularly consecutive edges are joined exactly when the face between them is
-bounded, and that link edge is labelled by the corner (vertex, face).  Links
-are cycles (all 2m germs bounded with all 2m sector faces bounded), paths,
-or in principle several paths; disconnected links never occur in the inputs
-the package was written for, so they are flagged with a warning and handled
-per component.
+bounded, and that link edge is labelled by the corner (vertex, face) of that
+sector, as its index in ``gamma.corners``.  Links are cycles (all 2m germs
+bounded with all 2m sector faces bounded), paths, or in principle several
+paths; disconnected links never occur in the inputs the package was written
+for, so they are flagged with a warning and handled per component.
 
 The automorphisms of the complex, read as maps of the rotation system,
 act on the corners; ``corner_automorphisms`` lists those corner
@@ -276,8 +276,9 @@ def _parallel_pencil_complex(arr: LineArrangement) -> CellComplex:
 
 @dataclass(frozen=True)
 class LinkComponent:
-    """One maximal run of the link: bounded edges in angular order and the
-    corner labelling each consecutive pair (cyclic for a full cycle)."""
+    """One maximal run of the link: bounded edges in angular order, and in
+    ``corners[p]`` the index in ``gamma.corners`` of the corner between
+    edges p and p + 1 (cyclic for a full cycle)."""
 
     edges: tuple
     corners: tuple
@@ -342,12 +343,8 @@ class BoundedComplex:
                 raise RuntimeError(f"vertex {vid}: a bounded sector face "
                                    f"is flanked by a ray")
 
-        def corner_at(i):
-            return self.corners[sector[i]]
-
         if all(joined):
-            comp = LinkComponent(tuple(ring),
-                                 tuple(corner_at(i) for i in range(k)))
+            comp = LinkComponent(tuple(ring), tuple(sector))
             return Link(vid, len(cx.vertices[vid].lines), CYCLE, (comp,))
         # split the cyclic sequence into maximal joined runs of bounded germs
         components = []
@@ -358,7 +355,7 @@ class BoundedComplex:
             corners = []
             i = s
             while joined[i]:
-                corners.append(corner_at(i))
+                corners.append(sector[i])
                 i = (i + 1) % k
                 edges.append(ring[i])
             components.append(LinkComponent(tuple(edges), tuple(corners)))

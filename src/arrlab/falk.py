@@ -28,8 +28,8 @@ rotations are generated and duplicates are removed by multiplicity vector.
 Type (iii) dominates type (iv) termwise, which the tests pin down.
 
 Each condition is one sparse lpcore row: ``(index, coeff)`` pairs over
-the corners in ``gamma.corners`` order, assembled by variable index, and
-the linear program is solved exactly by lpcore.  ``solve`` reduces it by
+the corner indices of ``gamma.corners``, which the link labels carry too,
+and the linear program is solved exactly by lpcore.  ``solve`` reduces it by
 the complex's own symmetry (``cells.corner_automorphisms``, permutations
 of the corner indices): the variables shrink to corner orbits and rows
 that become equal merge, which restricts the search to symmetric weight
@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import BoundedComplex, CYCLE, Corner, Link, corner_automorphisms
+from .cells import BoundedComplex, CYCLE, Link, corner_automorphisms
 from .lpcore import (EQ, FEASIBLE, GE, LE, LPRow, StandardFormLP,
                      check_certificate, solve_feasibility, violated_rows)
 
@@ -73,7 +73,8 @@ class Circuit:
     """A generated circuit: edge multiplicities along one link component.
 
     ``counts[p]`` is the number of times the walk traverses the component's
-    p-th link edge; ``corners[p]`` is the corner labelling that edge.
+    p-th link edge; ``corners[p]`` is the corner labelling that edge, an
+    index into ``gamma.corners``.
     ``steps`` is the walk length, which always equals sum(counts).
     """
 
@@ -161,21 +162,19 @@ def build_constraints(gamma: BoundedComplex, *,
     each a sparse LPRow over the corners in ``gamma.corners`` order.
     """
     corners = gamma.corners
-    index = {c: i for i, c in enumerate(corners)}
+    # bounded face ids are 0 .. F-1, so each face's indices come ascending
+    on_face = [[] for _ in gamma.faces]
+    for n, c in enumerate(corners):
+        on_face[c.face].append((n, 1))
     rel = EQ if equality_asphericity else LE
-    rows = [LPRow(tuple(sorted((index[Corner(v, f.id)], 1)
-                               for v in f.vertex_ids)),
-                  rel, f.size - 2, f"{ASPHERICITY} face {f.id}")
-            for f in gamma.faces]
+    rows = [LPRow(tuple(on), rel, f.size - 2, f"{ASPHERICITY} face {f.id}")
+            for f, on in zip(gamma.faces, on_face)]
     for lk in gamma.links():
-        labels = [[index[c] for c in comp.corners] for comp in lk.components]
         for c in enumerate_circuits(lk):
-            acc = {}
-            for count, j in zip(c.counts, labels[c.component]):
-                if count:
-                    acc[j] = acc.get(j, 0) + count
+            # a corner labels one edge of a link, so the indices are distinct
             rows.append(LPRow(
-                tuple(sorted(acc.items())), GE, 2,
+                tuple(sorted((j, k) for k, j in zip(c.counts, c.corners)
+                             if k)), GE, 2,
                 f"{ADMISSIBILITY} vertex {c.vertex} type ({c.ctype}) "
                 f"component {c.component} start {c.start}"))
     # dict keys keep the first of equal rows, with its tag

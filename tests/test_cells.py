@@ -180,9 +180,10 @@ def test_corner_labels_cover_corners_once(gamma_lid):
     for lk in gamma_lid.links():
         for comp in lk.components:
             label_counts.update(comp.corners)
-    assert set(label_counts) <= set(gamma_lid.corners)
+    indices = set(range(len(gamma_lid.corners)))
+    assert set(label_counts) <= indices
     assert all(k <= 2 for k in label_counts.values())
-    assert set(label_counts) == set(gamma_lid.corners)
+    assert set(label_counts) == indices
     assert all(k == 1 for k in label_counts.values())
 
 
@@ -430,3 +431,17 @@ def test_rotation_and_sector_tables_agree():
                 assert gam.sector_corners[v.id][i] == expected
         # one sector at each vertex of a face's closure
         assert all(sectors_of[f.id] == f.size for f in cx.faces)
+        # links label their edges by corner index: the edge between germs
+        # i and i + 1 at v by sector i, each corner exactly once
+        labels = []
+        for lk in gam.links():
+            ring = cx.germ_edges(lk.vertex)
+            for comp in lk.components:
+                labels.extend(comp.corners)
+                for p, n in enumerate(comp.corners):
+                    i = ring.index(comp.edges[p])
+                    assert comp.edges[(p + 1) % len(comp.edges)] == \
+                        ring[(i + 1) % len(ring)]
+                    assert n == gam.sector_corners[lk.vertex][i]
+        assert sorted(labels) == list(range(len(gam.corners)))
+        assert all(f.id == k for k, f in enumerate(gam.faces))

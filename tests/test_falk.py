@@ -256,10 +256,10 @@ def test_solve_generic3_zero():
 def test_solve_infeasible_carries_checked_certificate(monkeypatch):
     # a hand-made Gamma with no arrangement behind it: the triangle face 0
     # caps its corner weights at 1, and the one-edge cycle at vertex 0
-    # (m = 2) asks for weight 2 on corner (0,0); its empty complex has a
-    # trivial group
+    # (m = 2), labelled by corner index 0, asks for weight 2 on corner
+    # (0,0); its empty complex has a trivial group
     corners = (Corner(0, 0), Corner(1, 0), Corner(2, 0))
-    link = Link(0, 2, CYCLE, (LinkComponent((0,), corners[:1]),))
+    link = Link(0, 2, CYCLE, (LinkComponent((0,), (0,)),))
     gam = SimpleNamespace(
         complex=SimpleNamespace(vertices=()), corners=corners,
         faces=(FaceCell(0, True, (0, 1, 2), (), frozenset()),),
