@@ -1,3 +1,4 @@
+import hashlib
 import operator
 import random
 from collections import Counter
@@ -23,7 +24,7 @@ from arrlab.arrangement import (
     parse_arrangement,
     serialize_arrangement,
 )
-from arrlab.poset import intersection_poset, poincare_polynomial
+from arrlab.poset import _central_flats, intersection_poset, poincare_polynomial
 from arrlab.scalar import GOLDEN, GoldenScalar, PHI, RATIONAL, ScalarError
 
 from oracles import essential_random_line_arrangement, matrix_rank, sign
@@ -375,3 +376,91 @@ def test_is_parallel_matches_determinant():
             assert p.is_parallel(q) == det_zero == q.is_parallel(p)
             outcomes[det_zero] += 1
         assert outcomes[True] and outcomes[False]
+
+
+# -- crossing points and plane axes ------------------------------------------
+
+def _meet_scalar(rng, field, big):
+    """A coefficient: a small fraction, or one with a denominator of up to
+    ten digits when ``big``; over Q(sqrt5) most also get a sqrt5 part."""
+    def rational():
+        if big:
+            return Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                            rng.randint(1, 10 ** 9))
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if field == GOLDEN and rng.random() < 0.6:
+        return GoldenScalar(rational(), rational())
+    return GoldenScalar(rational())
+
+
+def meet_corpus():
+    """300 seeded line arrangements of 3-14 lines over Q and Q(sqrt5):
+    mixed lines with forced parallel classes, concurrent pencils, vertical
+    and horizontal lines, and some with large denominators; every tenth is
+    one parallel class, every seventh a pencil through one point."""
+    rng = random.Random(26)
+    one, zero = GoldenScalar(1), GoldenScalar(0)
+    corpus = []
+    for k in range(300):
+        field = (RATIONAL, GOLDEN)[k % 2]
+        big = rng.random() < 0.2
+
+        def s():
+            return _meet_scalar(rng, field, big)
+        centers = [(s(), s()) for _ in range(rng.randint(1, 2))]
+        n = rng.randint(3, 14)
+        lines = {}
+        while len(lines) < n:
+            kind = ("parallel" if k % 10 == 0 else "pencil" if k % 7 == 0
+                    else rng.choice(("generic", "vertical", "horizontal",
+                                     "parallel", "pencil")))
+            a, b = s(), s()
+            if kind == "vertical":
+                a, b = one, zero
+            elif kind == "horizontal":
+                a, b = zero, one
+            elif kind == "parallel" and lines:
+                a, b = rng.choice(list(lines)).coeffs()[:2]
+            if not a and not b:
+                continue
+            x0, y0 = rng.choice(centers)
+            c = a * x0 + b * y0 if kind == "pencil" else s()
+            lines.setdefault(AffineLine(a, b, c))
+        corpus.append(LineArrangement(tuple(lines), field))
+    return corpus
+
+
+def meet_text(arr):
+    """The arrangement, its crossing points with the lines through each,
+    and the flats of its cone, one per line."""
+    out = [serialize_arrangement(arr)]
+    for (x, y), on in intersection_points(arr).items():
+        out.append(f"point {x._p} {x._q} {x._d} {y._p} {y._q} {y._d} "
+                   f"{sorted(on)}\n")
+    for f in _central_flats(cone(arr)):
+        out.append(f"flat {f.rank} {sorted(f.hyperplanes)}\n")
+    return "".join(out)
+
+
+POINTS_SHA256 = (
+    "a76b7a0a9d9f19ed302338d8a8b8d514329ce5cac5eb77d33264a7470280ea76")
+
+
+def test_points_and_axes_are_pinned():
+    digest = hashlib.sha256()
+    seen = Counter()
+    for arr in meet_corpus():
+        digest.update(meet_text(arr).encode())
+        points = intersection_points(arr)
+        seen[arr.field] += 1
+        seen["no point"] += not points
+        seen["pencil"] += any(len(on) >= 3 for on in points.values())
+        seen["parallel"] += any(p.is_parallel(q) for p, q in
+                                combinations(arr.lines, 2))
+        seen["vertical"] += any(not ln.b for ln in arr.lines)
+        seen["horizontal"] += any(not ln.a for ln in arr.lines)
+        seen["large denominator"] += any(
+            x._d > 10 ** 6 for ln in arr.lines for x in ln.coeffs())
+    # the corpus reaches every shape the kernel separates
+    assert len(seen) == 8 and all(seen.values()), seen
+    assert digest.hexdigest() == POINTS_SHA256
