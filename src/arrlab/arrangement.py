@@ -8,6 +8,13 @@ and on construction they coerce each coefficient to a GoldenScalar and
 reject an irrational one in a rational arrangement, so both fields run on
 the same integer arithmetic.
 
+Crossing points and the axes of pairs of planes come from one integer
+kernel, ``meet_groups``: each coefficient triple is cleared to int pairs
+(p, q) of Z[sqrt5] over one denominator, the meet of two rows is their
+cross product, and one conjugate multiplication and one gcd per pair give
+a canonical int key, so a GoldenScalar is built only once per distinct
+point.
+
 The module also owns the text file format::
 
     field rational            # or: field golden
@@ -23,7 +30,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, cmp_to_key
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .scalar import (
@@ -32,6 +40,8 @@ from .scalar import (
     RATIONAL,
     PHI,
     ScalarError,
+    _golden,
+    _sign_of_pair,
     coerce_scalar,
     format_scalar,
     parse_scalar,
@@ -103,15 +113,6 @@ class AffineLine:
     def is_parallel(self, other: "AffineLine") -> bool:
         # normalized normals of parallel lines are equal
         return (self.a, self.b) == (other.a, other.b)
-
-    def intersect(self, other: "AffineLine"):
-        """Intersection point with another line, or None if parallel."""
-        det = self.a * other.b - self.b * other.a
-        if not det:
-            return None
-        x = (self.c * other.b - other.c * self.b) / det
-        y = (self.a * other.c - other.a * self.c) / det
-        return (x, y)
 
 
 @dataclass(frozen=True)
@@ -189,13 +190,89 @@ def intersection_points(arr: LineArrangement) -> MappingProxyType:
 
 
 def _crossings(lines) -> dict:
-    points = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            p = lines[i].intersect(lines[j])
-            if p is not None:
-                points.setdefault(p, set()).update((i, j))
-    return {p: frozenset(points[p]) for p in sorted(points)}
+    # the line a*x + b*y = c is the point (a, b, -c) of the dual plane
+    meets = meet_groups([(ln.a, ln.b, -ln.c) for ln in lines], affine=True)
+    return {(_golden(k[0], k[1], k[6]), _golden(k[2], k[3], k[6])): on
+            for k, on in meets}
+
+
+def _cleared(row):
+    """A triple of GoldenScalars times the lcm of its denominators, as six
+    ints: the (p, q) pair of Z[sqrt5] of each entry."""
+    d = lcm(row[0]._d, row[1]._d, row[2]._d)
+    return tuple(v for x in row for v in (x._p * (d // x._d),
+                                          x._q * (d // x._d)))
+
+
+def _key_order(u, v) -> int:
+    # the sign of u - v for meet keys, coordinate by coordinate: each is
+    # (p + q*sqrt5)/n, compared through the cross-multiplied difference
+    m, n = u[6], v[6]
+    for i in (0, 2, 4):
+        p = u[i] * n - v[i] * m
+        q = u[i + 1] * n - v[i + 1] * m
+        if q:
+            return _sign_of_pair(p, q)
+        if p:
+            break
+    return (p > 0) - (p < 0)
+
+
+def meet_groups(rows, affine: bool) -> list:
+    """The meets of pairs of rows of P^2, grouped by meet point.
+
+    ``rows`` are coefficient triples of GoldenScalars; the meet of two rows
+    is their cross product (x, y, z), found on ints alone.  Each row is
+    cleared to int pairs (p, q) of Z[sqrt5] over one denominator.  The meet
+    is normalized by one coordinate w: z when ``affine`` (a pair with
+    z = 0 meets at infinity and is skipped), else the first nonzero one.
+    Multiplying by the conjugate of w turns w into the int n = w*w'; one
+    gcd and the sign of n then make the key canonical, so equal points
+    have equal keys.  A key is seven ints (xp, xq, yp, yq, zp, zq, n)
+    standing for the point ((xp + xq*sqrt5)/n, ...), whose w coordinate
+    is 1.
+
+    Returns [(key, frozenset of the indices of the rows through the
+    point)], sorted by the points' coordinates in the order of the reals.
+    """
+    rows = [_cleared(row) for row in rows]
+    groups = {}
+    for i, (ap, aq, bp, bq, cp, cq) in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            dp, dq, ep, eq, fp, fq = rows[j]
+            # (x, y, z) = (b f - c e, c d - a f, a e - b d), with s^2 = 5
+            zp = ap * ep + 5 * aq * eq - bp * dp - 5 * bq * dq
+            zq = ap * eq + aq * ep - bp * dq - bq * dp
+            if affine and not (zp or zq):
+                continue  # parallel lines
+            xp = bp * fp + 5 * bq * fq - cp * ep - 5 * cq * eq
+            xq = bp * fq + bq * fp - cp * eq - cq * ep
+            yp = cp * dp + 5 * cq * dq - ap * fp - 5 * aq * fq
+            yq = cp * dq + cq * dp - ap * fq - aq * fp
+            if affine:
+                wp, wq = zp, zq
+            elif xp or xq:
+                wp, wq = xp, xq
+            elif yp or yq:
+                wp, wq = yp, yq
+            else:
+                wp, wq = zp, zq
+            if wq:
+                # times w' = wp - wq*s, so that w becomes n = w*w'
+                n = wp * wp - 5 * wq * wq
+                xp, xq = xp * wp - 5 * xq * wq, xq * wp - xp * wq
+                yp, yq = yp * wp - 5 * yq * wq, yq * wp - yp * wq
+                zp, zq = zp * wp - 5 * zq * wq, zq * wp - zp * wq
+            else:
+                n = wp
+            g = gcd(xp, xq, yp, yq, zp, zq)
+            if n < 0:
+                g = -g
+            key = (xp // g, xq // g, yp // g, yq // g, zp // g, zq // g,
+                   n // g)
+            groups.setdefault(key, set()).update((i, j))
+    return [(key, frozenset(groups[key]))
+            for key in sorted(groups, key=cmp_to_key(_key_order))]
 
 
 @dataclass(frozen=True)

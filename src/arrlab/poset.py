@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from .arrangement import (
     CentralArrangement,
     LineArrangement,
-    cross3,
     intersection_points,
-    scale_first_nonzero,
+    meet_groups,
 )
 
 
@@ -120,15 +119,10 @@ def _central_flats(arr: CentralArrangement):
     flats = [Flat(0, 0, frozenset())]
     for i in range(len(arr.planes)):
         flats.append(Flat(len(flats), 1, frozenset([i])))
-    axes = {}
-    for i in range(len(arr.planes)):
-        for j in range(i + 1, len(arr.planes)):
-            d = cross3(arr.planes[i].normal(), arr.planes[j].normal())
-            # distinct central planes always meet in a line through the origin
-            d = scale_first_nonzero(d)
-            axes.setdefault(d, set()).update((i, j))
-    for d in sorted(axes):
-        flats.append(Flat(len(flats), 2, frozenset(axes[d])))
+    # distinct central planes always meet in a line through the origin
+    for _, planes in meet_groups([pl.normal() for pl in arr.planes],
+                                 affine=False):
+        flats.append(Flat(len(flats), 2, planes))
     if arr.rank() == 3:
         flats.append(Flat(len(flats), 3, frozenset(range(len(arr.planes)))))
     return flats

@@ -5,7 +5,10 @@ is computed exactly in GoldenScalars; scalars are converted to 12
 significant decimal digits only when written into the document, by one
 correctly rounded decimal division (sqrt5 is substituted by a 40-digit
 rational approximation).  Nothing rendered here flows back into any
-computation.
+computation.  The vertices are the crossing points of
+``intersection_points``, found from int pairs of Z[sqrt5] with one gcd per
+pair of lines; each vertex's coordinates are formatted once per render and
+reused by every bounded face and edge through it.
 """
 
 from __future__ import annotations
@@ -114,8 +117,10 @@ def render_svg(arr: LineArrangement, *, gamma: bool = False,
              f'viewBox="{vb}">']
     gam = bounded_complex(cx) if (gamma or weights is not None) else None
     if gamma:
+        # formatted once, written for every face and edge through it
+        xy = [_xy(v.point) for v in cx.vertices]
         for f in gam.faces:
-            pts = " ".join(_xy(cx.vertices[v].point) for v in f.vertex_ids)
+            pts = " ".join(xy[v] for v in f.vertex_ids)
             parts.append(f'<polygon points="{pts}" fill="#c8d8f0" '
                          f'stroke="none"/>')
     for ln in arr.lines:
@@ -127,9 +132,7 @@ def render_svg(arr: LineArrangement, *, gamma: bool = False,
         # bounded edges as <path> so that <line> elements remain one per
         # arrangement line
         for e in gam.edges:
-            p = cx.vertices[e.v0].point
-            q = cx.vertices[e.v1].point
-            parts.append(f'<path d="M {_xy(p)} L {_xy(q)}" '
+            parts.append(f'<path d="M {xy[e.v0]} L {xy[e.v1]}" '
                          f'stroke="#000000" stroke-width="{bold}" '
                          f'fill="none"/>')
     if weights is not None:

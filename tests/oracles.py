@@ -1,23 +1,25 @@
 """Independent oracles used to pin down expected values.
 
 Everything here recomputes results by brute force or by a different
-algorithm than the library path it checks: Poincare polynomials by the
-subset alternating sum, factorizations by trying every assignment, LP
-feasibility by Fourier-Motzkin elimination, circuit multiplicities by
-literally walking the circuit, chamber wall counts by sign-vector
-enumeration, SVG decimals by a digit loop over Fractions, LP results by
-the dense Fraction simplex tableau, the sparse tableau's reduced costs
-by Fraction sums, witnesses, Farkas certificates and weight systems by
-evaluating each row in Fractions, the weight LP by solving it over every
-corner without the symmetry reduction, ranks by Gaussian elimination and
-angular order by cross products, the vertices along each line by sorting
-on dot products, symmetries of the bounded complex by line permutations
-and by point maps of the plane.  Dense constraint rows exist only here,
-built from the library's sparse rows by ``dense_coeffs``.  It also holds
-the seeded input generators and the small helpers only tests call: the
-exact sign, the three-way comparison, the Galois conjugate, circuit
-weight sums, the degree and value of an integer polynomial, and a corner
-permutation turned from an index tuple into a ``Corner`` dict and back.
+algorithm than the library path it checks: crossing points by Cramer's
+rule and plane axes by scaled cross products, both in GoldenScalars over
+every pair, Poincare polynomials by the subset alternating sum,
+factorizations by trying every assignment, LP feasibility by
+Fourier-Motzkin elimination, circuit multiplicities by literally walking
+the circuit, chamber wall counts by sign-vector enumeration, SVG decimals
+by a digit loop over Fractions, LP results by the dense Fraction simplex
+tableau, the sparse tableau's reduced costs by Fraction sums, witnesses,
+Farkas certificates and weight systems by evaluating each row in
+Fractions, the weight LP by solving it over every corner without the
+symmetry reduction, ranks by Gaussian elimination and angular order by
+cross products, the vertices along each line by sorting on dot products,
+symmetries of the bounded complex by line permutations and by point maps
+of the plane.  Dense constraint rows exist only here, built from the
+library's sparse rows by ``dense_coeffs``.  It also holds the seeded
+input generators and the small helpers only tests call: the exact sign,
+the three-way comparison, the Galois conjugate, circuit weight sums, the
+degree and value of an integer polynomial, and a corner permutation
+turned from an index tuple into a ``Corner`` dict and back.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from arrlab.arrangement import (
     AffineLine,
     CentralArrangement,
     LineArrangement,
+    cross3,
     intersection_points,
+    scale_first_nonzero,
 )
 from arrlab.cells import Corner
 from arrlab.factored import Factorization
@@ -161,6 +165,41 @@ def line_orders_by_sort(arr: LineArrangement) -> dict:
     return orders
 
 
+def intersect(line, other):
+    """Crossing point of two affine lines by Cramer's rule in GoldenScalars,
+    or None if they are parallel."""
+    det = line.a * other.b - line.b * other.a
+    if not det:
+        return None
+    x = (line.c * other.b - other.c * line.b) / det
+    y = (line.a * other.c - other.a * line.c) / det
+    return (x, y)
+
+
+def crossings_reference(lines) -> dict:
+    """{point: frozenset of line indices} over every pair of crossing
+    lines, each point a pair of GoldenScalars, in sorted point order."""
+    points = {}
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            p = intersect(lines[i], lines[j])
+            if p is not None:
+                points.setdefault(p, set()).update((i, j))
+    return {p: frozenset(points[p]) for p in sorted(points)}
+
+
+def central_axes_reference(arr: CentralArrangement) -> dict:
+    """{axis: frozenset of plane indices} over every pair of planes, each
+    axis the cross product of two normals scaled to a first nonzero entry
+    of 1, in sorted axis order."""
+    axes = {}
+    for i in range(len(arr.planes)):
+        for j in range(i + 1, len(arr.planes)):
+            d = cross3(arr.planes[i].normal(), arr.planes[j].normal())
+            axes.setdefault(scale_first_nonzero(d), set()).update((i, j))
+    return {d: frozenset(axes[d]) for d in sorted(axes)}
+
+
 def whitney_poincare(arr) -> IntPolynomial:
     """pi(A, t) as the alternating sum over all subsets with nonempty
     intersection: sum (-1)^|B| (-t)^codim(B)."""
@@ -182,7 +221,7 @@ def whitney_poincare(arr) -> IntPolynomial:
             first = items[subset[0]]
             p = None
             for j in subset[1:]:
-                q = first.intersect(items[j])
+                q = intersect(first, items[j])
                 if q is None:
                     return None
                 if p is None:

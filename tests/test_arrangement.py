@@ -4,9 +4,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arrlab import cells
 from arrlab.arrangement import (
     AffineLine,
     ArrangementError,
@@ -21,13 +25,22 @@ from arrlab.arrangement import (
     decone,
     default_decone_index,
     intersection_points,
+    meet_groups,
     parse_arrangement,
     serialize_arrangement,
 )
-from arrlab.poset import _central_flats, intersection_poset, poincare_polynomial
-from arrlab.scalar import GOLDEN, GoldenScalar, PHI, RATIONAL, ScalarError
+from arrlab.poset import (_central_flats, intersection_poset,
+                          poincare_polynomial)
+from arrlab.scalar import (GOLDEN, GoldenScalar, PHI, RATIONAL, ScalarError,
+                           _golden)
 
-from oracles import essential_random_line_arrangement, matrix_rank, sign
+from oracles import (
+    central_axes_reference,
+    crossings_reference,
+    essential_random_line_arrangement,
+    matrix_rank,
+    sign,
+)
 
 
 def poset_signature(poset):
@@ -464,3 +477,76 @@ def test_points_and_axes_are_pinned():
     # the corpus reaches every shape the kernel separates
     assert len(seen) == 8 and all(seen.values()), seen
     assert digest.hexdigest() == POINTS_SHA256
+
+
+# rational parts: small ones meet often in pencils and parallel classes,
+# large ones clear to big ints
+_small_st = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+_large_st = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                      st.integers(1, 10 ** 12))
+
+
+def _line_arrangement_st(field):
+    part = st.one_of(_small_st, _small_st, _large_st)
+    scalar = st.builds(GoldenScalar, part,
+                       st.just(0) if field == RATIONAL
+                       else st.one_of(st.just(0), _small_st))
+    line = st.tuples(scalar, scalar, scalar).filter(lambda t: t[0] or t[1])
+    return st.lists(line, max_size=9).map(
+        lambda rows: LineArrangement(
+            tuple(dict.fromkeys(AffineLine(*t) for t in rows)), field))
+
+
+def check_meets_against_references(arr):
+    """Crossing points and cone axes equal the GoldenScalar loops of the
+    oracles: items, order, types, canonical triples and hashes."""
+    points = intersection_points(arr)
+    expected = crossings_reference(arr.lines)
+    assert list(points.items()) == list(expected.items())
+    for point, ref in zip(points, expected):
+        for x, r in zip(point, ref):
+            assert type(x) is GoldenScalar
+            assert (x._p, x._q, x._d) == (r._p, r._q, r._d)
+            assert x._d > 0 and gcd(x._p, x._q, x._d) == 1
+            assert hash(x) == hash(r)
+    coned = cone(arr)
+    axes = central_axes_reference(coned)
+    meets = meet_groups([pl.normal() for pl in coned.planes], affine=False)
+    # each key stands for its axis scaled to a first nonzero entry of 1
+    assert [(tuple(_golden(k[i], k[i + 1], k[6]) for i in (0, 2, 4)), on)
+            for k, on in meets] == list(axes.items())
+    assert [f.hyperplanes for f in _central_flats(coned) if f.rank == 2] \
+        == list(axes.values())
+
+
+@given(st.sampled_from((RATIONAL, GOLDEN)).flatmap(_line_arrangement_st))
+@settings(max_examples=60, deadline=None)
+def test_meets_match_the_reference_loops(arr):
+    check_meets_against_references(arr)
+
+
+def test_meets_of_parallel_classes_pencils_and_rank_2(monkeypatch):
+    g = GoldenScalar
+    parallel = LineArrangement(tuple((1, PHI, g(c, 1)) for c in range(-2, 3)),
+                               GOLDEN)
+    # every line through (1/3, -phi)
+    x0, y0 = g(Fraction(1, 3)), -PHI
+    pencil = LineArrangement(tuple((a, b, a * x0 + b * y0) for a, b in (
+        (g(1), g(0)), (g(0), g(1)), (g(1), PHI), (g(2, -1), g(1, 3)),
+        (PHI, g(-5)))), GOLDEN)
+    for arr in (parallel, pencil):
+        check_meets_against_references(arr)
+    assert not intersection_points(parallel)
+    assert list(intersection_points(pencil).values()) == [frozenset(range(5))]
+    # no crossing point: the complex is the strips between the lines
+    built = []
+    strips = cells._parallel_pencil_complex
+    monkeypatch.setattr(cells, "_parallel_pencil_complex",
+                        lambda arr: built.append(arr) or strips(arr))
+    assert len(cells.build_complex(parallel).faces) == 6 and built
+    # planes through one axis: one flat of rank 2 holds them all
+    axis = (g(0), g(2), g(1, -1))
+    planes = random_planes(random.Random(26), GOLDEN, 5, axis)
+    assert planes.rank() == 2
+    assert [(f.rank, f.hyperplanes) for f in _central_flats(planes)][6:] == \
+        [(2, frozenset(range(5)))]

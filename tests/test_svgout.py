@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 from math import isqrt
 
+from arrlab import svgout
 from arrlab.arrangement import LineArrangement
 from arrlab.cells import build_complex
 from arrlab.scalar import RATIONAL, GoldenScalar
@@ -108,3 +109,14 @@ def test_render_draws_every_line_without_vertices():
         root = ET.fromstring(render_svg(arr, gamma=True))
         lines = [e for e in root if e.tag.endswith("line")]
         assert len(lines) == len(arr.lines)
+
+
+def test_render_formats_each_vertex_once(lid, monkeypatch):
+    # the icosidodecahedral section with Gamma: every vertex lies on several
+    # bounded faces and edges, and its coordinates are formatted once
+    formatted = []
+    xy = svgout._xy
+    monkeypatch.setattr(svgout, "_xy",
+                        lambda point: formatted.append(point) or xy(point))
+    render_svg(lid, gamma=True)
+    assert formatted == [v.point for v in build_complex(lid).vertices]
