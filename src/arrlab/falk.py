@@ -23,9 +23,13 @@ full cycle) and vertex multiplicity m, the four types contribute:
 (iv)  a run of m consecutive edges, ends four times, interior twice
       (needs k > m).
 
-On paths the start j ranges as in the side conditions above; on cycles all
-rotations are generated and duplicates are removed by multiplicity vector.
-Type (iii) dominates type (iv) termwise, which the tests pin down.
+On paths the start j ranges as in the side conditions above; on cycles it
+takes every rotation.  Each distinct circuit is generated once: for m <= 2
+a type (iv) run has no interior edge and repeats type (iii)'s at the same
+start, so (iv) is generated only for m >= 3.  No other circuits coincide:
+(i) is all 1s and (ii) all 2s, (iii) and (iv) differ on the interior, and
+windows shorter than the cycle differ for distinct starts.  Type (iii)
+dominates type (iv) termwise, which the tests pin down.
 
 Each condition is one sparse lpcore row: ``(index, coeff)`` pairs over
 the corner indices of ``gamma.corners``, which the link labels carry too,
@@ -95,9 +99,12 @@ class Circuit:
 _RUNS = ((TYPE_II, 1, 2, 2), (TYPE_III, 0, 4, 4), (TYPE_IV, 0, 4, 2))
 
 
-def _raw_circuits(link: Link, m: int):
-    """All circuits before deduplication, in deterministic order."""
+def enumerate_circuits(link: Link):
+    """Applicable circuits of the four types, each distinct one once: per
+    component (i), then (ii), (iii) and (iv), each by start; (iv) only for
+    m >= 3, as for m <= 2 it has the vector of (iii) at the same start."""
     out = []
+    m = link.multiplicity
     cyclic = link.shape == CYCLE
     for ci, comp in enumerate(link.components):
         labels = comp.corners
@@ -108,28 +115,15 @@ def _raw_circuits(link: Link, m: int):
                                (1,) * nedges, labels))
         for ctype, extra, end, inside in _RUNS:
             run = m + extra
-            if nverts <= run:
+            if nverts <= run or (ctype == TYPE_IV and m <= 2):
                 continue
+            base = tuple(end if t in (0, run - 1) else inside
+                         for t in range(run)) + (0,) * (nedges - run)
+            # the run rotated to start j; on a path it never wraps
             for j in range(nverts if cyclic else nverts - run):
-                counts = [0] * nedges
-                for t in range(run):
-                    counts[(j + t) % nedges] = (end if t in (0, run - 1)
-                                                else inside)
                 out.append(Circuit(link.vertex, ctype, ci, j,
-                                   tuple(counts), labels))
-    return out
-
-
-def enumerate_circuits(link: Link):
-    """Applicable circuits of the four types, deduplicated by multiplicity
-    vector (rotations and mirror walks collapse)."""
-    seen = set()
-    out = []
-    for c in _raw_circuits(link, link.multiplicity):
-        key = (c.component, c.counts)
-        if key not in seen:
-            seen.add(key)
-            out.append(c)
+                                   base[nedges - j:] + base[:nedges - j],
+                                   labels))
     return out
 
 
@@ -158,8 +152,12 @@ def build_constraints(gamma: BoundedComplex, *,
     """Assemble the full constraint system of the bounded complex.
 
     One row per bounded face (corner weights sum to d(f) - 2, relation <=
-    or = per the flag), one row per deduplicated circuit (weight sum >= 2),
-    each a sparse LPRow over the corners in ``gamma.corners`` order.
+    or = per the flag), one row per circuit of ``enumerate_circuits``
+    (weight sum >= 2), each a sparse LPRow over the corners in
+    ``gamma.corners`` order.  The rows are distinct as built: two faces
+    share no corner, different vertices and link components have disjoint
+    corners, face rows are <= or = and circuit rows >=, and one
+    component's circuits have distinct vectors.
     """
     corners = gamma.corners
     # bounded face ids are 0 .. F-1, so each face's indices come ascending
@@ -177,9 +175,8 @@ def build_constraints(gamma: BoundedComplex, *,
                              if k)), GE, 2,
                 f"{ADMISSIBILITY} vertex {c.vertex} type ({c.ctype}) "
                 f"component {c.component} start {c.start}"))
-    # dict keys keep the first of equal rows, with its tag
     return ConstraintSystem(tuple(corners), tuple((c,) for c in corners),
-                            tuple(dict.fromkeys(rows)))
+                            tuple(rows))
 
 
 def _orbit_system(system, symmetry):

@@ -6,8 +6,9 @@ rule and plane axes by scaled cross products, both in GoldenScalars over
 every pair, Poincare polynomials by the subset alternating sum,
 factorizations by trying every assignment, LP feasibility by
 Fourier-Motzkin elimination, circuit multiplicities by literally walking
-the circuit, chamber wall counts by sign-vector enumeration, SVG decimals
-by a digit loop over Fractions, LP results by the dense Fraction simplex
+the circuit, a link's circuits by walking every one, repeats kept,
+chamber wall counts by sign-vector enumeration, SVG decimals by a digit
+loop over Fractions, LP results by the dense Fraction simplex
 tableau, the sparse tableau's reduced costs by Fraction sums, witnesses,
 Farkas certificates and weight systems by evaluating each row in
 Fractions, the weight LP by solving it over every corner without the
@@ -25,6 +26,7 @@ turned from an index tuple into a ``Corner`` dict and back.
 from __future__ import annotations
 
 import operator
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,14 +34,20 @@ from arrlab.arrangement import (
     AffineLine,
     CentralArrangement,
     LineArrangement,
+    cone,
     cross3,
     intersection_points,
     scale_first_nonzero,
 )
-from arrlab.cells import Corner
+from arrlab.cells import CYCLE, Corner
 from arrlab.factored import Factorization
 from arrlab.falk import (
     NONNEGATIVITY,
+    TYPE_I,
+    TYPE_II,
+    TYPE_III,
+    TYPE_IV,
+    Circuit,
     SolveResult,
     VerifyReport,
     Violation,
@@ -506,6 +514,35 @@ def simulate_circuit_walk(ctype: str, j: int, m: int, nvertices: int,
     return counts
 
 
+def raw_circuit_walks(link):
+    """Every circuit walk of the four types on ``link``, repeats kept, as
+    Circuits whose counts come from ``simulate_circuit_walk``.
+
+    Per component: type (i) on a cycle, then types (ii), (iii) and (iv),
+    each at every start the side conditions allow.  A run of m+1 link
+    vertices for (ii), m for (iii) and (iv), applies when there are more
+    link vertices than that; on a cycle every rotation starts one, on a
+    path the start j keeps the walk's vertices j .. j+run on the path.
+    """
+    m = link.multiplicity
+    cyclic = link.shape == CYCLE
+    out = []
+    for ci, comp in enumerate(link.components):
+        k = len(comp.edges)  # link vertices
+        nedges = len(comp.corners)
+        walks = [(TYPE_I, 0)] if cyclic else []
+        for ctype, run in ((TYPE_II, m + 1), (TYPE_III, m), (TYPE_IV, m)):
+            if k > run:
+                walks.extend((ctype, j)
+                             for j in range(k if cyclic else k - run))
+        for ctype, j in walks:
+            walked = simulate_circuit_walk(ctype, j, m, k, cyclic)
+            out.append(Circuit(link.vertex, ctype, ci, j,
+                               tuple(walked.get(p, 0) for p in range(nedges)),
+                               comp.corners))
+    return out
+
+
 def chamber_wall_counts(arr: CentralArrangement):
     """Wall counts of every chamber of a rational central 3-arrangement,
     found by sign-vector enumeration and exact strict-feasibility LPs.
@@ -595,6 +632,17 @@ def essential_random_line_arrangement(rng, nlines: int, **kw):
         arr = random_line_arrangement(rng, nlines, **kw)
         if any(not arr.lines[0].is_parallel(ln) for ln in arr.lines[1:]):
             return arr
+
+
+def large_seeded_inputs():
+    """The seeded 24-line inputs, by name: a rational and a golden line
+    arrangement, and the cone of the rational one."""
+    rational = essential_random_line_arrangement(random.Random(24), 24)
+    return {
+        "rational24": rational,
+        "golden24": golden_line_arrangement(random.Random(24), 24),
+        "cone24": cone(rational),
+    }
 
 
 def random_lp(rng, max_vars=12, max_rows=30) -> StandardFormLP:

@@ -11,7 +11,7 @@ from arrlab.arrangement import builtin, cone, decone, default_decone_index
 from arrlab.cells import CYCLE, Corner, Link, LinkComponent, build_complex, \
     gamma_of, is_simplicial, link_census
 from arrlab.factored import find_factorization
-from arrlab.falk import _raw_circuits, enumerate_circuits, verify
+from arrlab.falk import enumerate_circuits, verify
 from arrlab.lpcore import check_certificate, solve_feasibility
 from arrlab.poset import IntPolynomial, poincare_polynomial, \
     splits_over_integers
@@ -22,6 +22,7 @@ from oracles import (
     find_factorization_bruteforce,
     fourier_motzkin_feasible,
     random_lp,
+    raw_circuit_walks,
     whitney_poincare,
 )
 
@@ -119,7 +120,7 @@ def test_criterion_8_dominance(gamma_lid):
     for gam in gammas:
         for lk in gam.links():
             by_key = {}
-            for c in _raw_circuits(lk, lk.multiplicity):
+            for c in raw_circuit_walks(lk):
                 by_key[(c.ctype, c.component, c.start)] = c
             for (ctype, comp, start), c3 in by_key.items():
                 if ctype != "iii":

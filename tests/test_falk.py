@@ -14,6 +14,7 @@ import arrlab
 import arrlab.falk as falk
 from arrlab.arrangement import builtin
 from arrlab.cells import CYCLE, Corner, FaceCell, Link, LinkComponent, gamma_of
+from arrlab.cli import as_line_arrangement
 from arrlab.falk import (
     WeightError,
     build_constraints,
@@ -21,7 +22,7 @@ from arrlab.falk import (
     solve,
     verify,
 )
-from arrlab.falk import _orbit_system, _raw_circuits
+from arrlab.falk import _orbit_system
 from arrlab.lpcore import check_certificate, solve_feasibility
 
 from oracles import (
@@ -29,7 +30,9 @@ from oracles import (
     essential_random_line_arrangement,
     evaluate_circuit,
     interior_square,
+    large_seeded_inputs,
     point_map_permutation,
+    raw_circuit_walks,
     simulate_circuit_walk,
     solve_system,
 )
@@ -60,7 +63,7 @@ def paper_cycle8_weights():
 def test_cycle4_m2_circuit_table_row():
     """Table row 12341: circuits 12341, 1234321, 123212321, 123232121."""
     link = make_cycle_link(4, 2)
-    raw = _raw_circuits(link, 2)
+    raw = raw_circuit_walks(link)
     i_circ = [c for c in raw if c.ctype == "i"]
     ii_circ = [c for c in raw if c.ctype == "ii"]
     iii_circ = [c for c in raw if c.ctype == "iii"]
@@ -72,10 +75,14 @@ def test_cycle4_m2_circuit_table_row():
     # 123212321: two consecutive edges four times
     assert {c.counts for c in iii_circ} == {
         (4, 4, 0, 0), (0, 4, 4, 0), (0, 0, 4, 4), (4, 0, 0, 4)}
-    # 123232121 collapses to the same multiplicity vectors at m = 2
+    # 123232121 collapses to the same multiplicity vectors at m = 2: each
+    # (iv) walk is the (iii) walk at its start, and no (iv) is generated
     assert {c.counts for c in iv_circ} == {c.counts for c in iii_circ}
+    assert [(c.start, c.counts) for c in iv_circ] == \
+        [(c.start, c.counts) for c in iii_circ]
     deduped = enumerate_circuits(link)
     assert len(deduped) == 1 + 4 + 4
+    assert not any(c.ctype == "iv" for c in deduped)
 
 
 def test_path2_m2_has_no_circuits():
@@ -87,17 +94,18 @@ def test_path2_m2_has_no_circuits():
 def test_path3_m2_only_types_iii_iv():
     """Table row 123: only 123212321 and 123232121, one start each."""
     link = make_path_link(3, 2)
-    raw = _raw_circuits(link, 2)
+    raw = raw_circuit_walks(link)
     assert {c.ctype for c in raw} == {"iii", "iv"}
     assert all(c.start == 0 for c in raw)
     assert all(c.counts == (4, 4) for c in raw)
-    assert len(enumerate_circuits(link)) == 1
+    circuits = enumerate_circuits(link)
+    assert len(circuits) == 1 and circuits[0].ctype == "iii"
 
 
 def test_path6_m4_table_row():
     """Table row 123456: type (ii) once, types (iii)/(iv) with two starts."""
     link = make_path_link(6, 4)
-    raw = _raw_circuits(link, 4)
+    raw = raw_circuit_walks(link)
     ii = [c for c in raw if c.ctype == "ii"]
     iii = [c for c in raw if c.ctype == "iii"]
     iv = [c for c in raw if c.ctype == "iv"]
@@ -109,7 +117,7 @@ def test_path6_m4_table_row():
 def test_cycle8_m4_table_row():
     """Table row 123456781: all four types, translations suppressed."""
     link = make_cycle_link(8, 4)
-    raw = _raw_circuits(link, 4)
+    raw = raw_circuit_walks(link)
     assert [c.counts for c in raw if c.ctype == "i"] == [(1,) * 8]
     ii = [c.counts for c in raw if c.ctype == "ii" and c.start == 0]
     assert ii == [(2, 2, 2, 2, 2, 0, 0, 0)]
@@ -155,10 +163,11 @@ def test_step_counts_match_walk_simulator():
     for link, cyclic in cases:
         m = link.multiplicity
         nvert = len(link.components[0].edges)
-        for c in _raw_circuits(link, m):
+        for c in enumerate_circuits(link):
             walked = simulate_circuit_walk(c.ctype, c.start, m, nvert, cyclic)
             mine = {p: k for p, k in enumerate(c.counts) if k}
             assert mine == walked, (c.ctype, c.start)
+        for c in raw_circuit_walks(link):
             expected_steps = {"i": nvert, "ii": 2 * (m + 1),
                               "iii": 4 * m, "iv": 2 * m + 4}[c.ctype]
             assert c.steps == expected_steps
@@ -173,7 +182,7 @@ def test_type_iii_dominates_type_iv_everywhere(gamma_lid):
     pairs = 0
     for gam in gammas:
         for lk in gam.links():
-            raw = _raw_circuits(lk, lk.multiplicity)
+            raw = raw_circuit_walks(lk)
             by_key = {}
             for c in raw:
                 by_key.setdefault((c.ctype, c.component, c.start), c)
@@ -276,11 +285,39 @@ def test_solve_infeasible_carries_checked_certificate(monkeypatch):
         solve(gam)
 
 
-def test_constraint_rows_deduplicated(gamma_lid):
-    system = build_constraints(gamma_lid)
-    keys = {(r.coeffs, r.rel, r.rhs) for r in system.rows}
-    assert len(keys) == len(system.rows)
-    assert all(any(r.coeffs) for r in system.rows)
+@pytest.fixture(scope="module")
+def large_gammas():
+    """Gamma of each seeded 24-line input, the cone at its default plane."""
+    return [gamma_of(as_line_arrangement(arr))
+            for arr in large_seeded_inputs().values()]
+
+
+def test_circuits_are_the_walks_less_repeats(gamma_lid, large_gammas):
+    """enumerate_circuits is the list of every walk, less each walk whose
+    multiplicity vector an earlier walk on its component already has."""
+    shapes = set()
+    for gam in [gamma_lid] + large_gammas:
+        for lk in gam.links():
+            seen = set()
+            first = []
+            for c in raw_circuit_walks(lk):
+                if (c.component, c.counts) not in seen:
+                    seen.add((c.component, c.counts))
+                    first.append(c)
+            assert enumerate_circuits(lk) == first
+            shapes.add((lk.shape, lk.multiplicity))
+    assert {(shape, m) for shape in (CYCLE, "path")
+            for m in range(2, 6)} <= shapes
+
+
+def test_constraint_rows_deduplicated(gamma_lid, large_gammas):
+    # build_constraints keeps every row it builds, so they must be distinct
+    for gam in [gamma_lid] + large_gammas:
+        for equality in (False, True):
+            system = build_constraints(gam, equality_asphericity=equality)
+            keys = {(r.coeffs, r.rel, r.rhs) for r in system.rows}
+            assert len(keys) == len(system.rows)
+            assert all(any(r.coeffs) for r in system.rows)
 
 
 def test_constraints_invariant_under_relabeling():

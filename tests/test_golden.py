@@ -18,7 +18,11 @@ from arrlab.arrangement import builtin, cone, serialize_arrangement
 from arrlab.cli import main
 from arrlab.poset import IntPolynomial, poincare_polynomial
 
-from oracles import essential_random_line_arrangement, golden_line_arrangement
+from oracles import (
+    essential_random_line_arrangement,
+    golden_line_arrangement,
+    large_seeded_inputs,
+)
 
 
 def _seeded_inputs():
@@ -229,15 +233,6 @@ def test_reflection_arrangement_analyze(name, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def _large_inputs():
-    rational = essential_random_line_arrangement(random.Random(24), 24)
-    return {
-        "rational24": rational,
-        "golden24": golden_line_arrangement(random.Random(24), 24),
-        "cone24": cone(rational),
-    }
-
-
 # falk constraints on seeded 24-line inputs: unlike the small inputs above,
 # these print variable indices in the hundreds (747-942 corners)
 LARGE_CONSTRAINT_DIGESTS = {
@@ -252,7 +247,7 @@ LARGE_CONSTRAINT_DIGESTS = {
 
 @pytest.mark.parametrize("name", LARGE_CONSTRAINT_DIGESTS)
 def test_large_constraint_output(name, tmp_path, capsys):
-    ref = _write_input(_large_inputs()[name], name, tmp_path)
+    ref = _write_input(large_seeded_inputs()[name], name, tmp_path)
     assert main(["falk", "constraints", ref]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
@@ -261,7 +256,7 @@ def test_large_constraint_output(name, tmp_path, capsys):
 
 
 def _large_geometry_inputs():
-    inputs = _large_inputs()
+    inputs = large_seeded_inputs()
     inputs["goldencone24"] = cone(inputs["golden24"])
     return inputs
 
