@@ -38,6 +38,7 @@ from .cells import (
     link_census,
 )
 from .factored import (
+    FactorSearch,
     Factorization,
     find_factorization,
     is_valid_factorization,

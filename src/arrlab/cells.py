@@ -110,8 +110,9 @@ class Corner:
 class CellComplex:
     """The full stratification, including unbounded edges and faces.
 
-    Per vertex it keeps the rotation system: the germ ring, ``rotation``
-    (where each segment germ arrives) and the face in each sector."""
+    Per vertex it keeps the rotation system: the germ ring ``germs``,
+    ``rotation`` (where each segment germ arrives) and the face in each
+    sector, ``sectors``."""
 
     def __init__(self, arrangement, vertices, edges, faces, germs, rotation,
                  sectors):
@@ -120,19 +121,12 @@ class CellComplex:
         self.edges = tuple(edges)
         self.faces = tuple(faces)
         # germs[v] = edge ids around vertex v in ccw angular order (2m of them)
-        self._germs = germs
+        self.germs = germs
         # rotation[v][i] = (w, j) when germ i at v is a segment arriving at
         # w as w's germ j; None for a ray
         self.rotation = rotation
         # sectors[v][i] = id of the face in the sector ccw of germ i at v
-        self._sectors = sectors
-
-    def germ_edges(self, vertex: int):
-        return self._germs[vertex]
-
-    def sector_face(self, vertex: int, position: int) -> int:
-        """Face between germ `position` and the next germ ccw."""
-        return self._sectors[vertex][position]
+        self.sectors = sectors
 
     def bounded_faces(self):
         return tuple(f for f in self.faces if f.bounded)
@@ -314,7 +308,7 @@ class BoundedComplex:
         corners = []
         self.sector_corners = []
         for v in self.vertices:
-            sectors = complex_._sectors[v.id]
+            sectors = complex_.sectors[v.id]
             row = [None] * len(sectors)
             for f, i in sorted((f, i) for i, f in enumerate(sectors)
                                if complex_.faces[f].bounded):
@@ -332,7 +326,7 @@ class BoundedComplex:
 
     def _build_link(self, vid: int) -> Link:
         cx = self.complex
-        ring = cx.germ_edges(vid)
+        ring = cx.germs[vid]
         k = len(ring)
         bounded_germ = [step is not None for step in cx.rotation[vid]]
         sector = self.sector_corners[vid]

@@ -34,7 +34,7 @@ from .cells import (
     is_simplicial,
     link_census,
 )
-from .factored import find_factorization, propagation_trace
+from .factored import find_factorization
 from .falk import WeightError, build_constraints, solve, verify
 from .poset import (
     IntPolynomial,
@@ -146,7 +146,7 @@ def cmd_analyze(args, out) -> int:
     else:
         report.append(("pi_cone", str(pi_cone)))
     if len(section.lines) >= 2:
-        fac = find_factorization(section)
+        fac = find_factorization(section).factorization
         report.append(("factored", "true" if fac is not None else "false"))
     else:
         report.append(("factored", "n/a"))
@@ -221,20 +221,18 @@ def cmd_factor(args, out) -> int:
     arr = as_line_arrangement(load_arrangement(args.arrangement))
     if len(arr.lines) < 2:
         raise CliError("factorization needs at least 2 lines")
-    # the search fails at its seed exactly when this propagation does, so
-    # it runs only when the propagation leaves the question open
-    steps, contradiction = propagation_trace(arr)
-    fac = None if contradiction else find_factorization(arr)
+    search = find_factorization(arr)
+    fac = search.factorization
     if fac is not None:
         print("FACTORED", file=out)
         print("Pi1: " + " ".join(map(str, sorted(fac.part1))), file=out)
         print("Pi2: " + " ".join(map(str, sorted(fac.part2))), file=out)
         return 0
     print("NOT FACTORED", file=out)
-    for line, part, reason in steps:
+    for line, part, reason in search.steps:
         print(f"  line {line} -> part {part}   [{reason}]", file=out)
-    if contradiction:
-        print(f"  contradiction: {contradiction}", file=out)
+    if search.contradiction:
+        print(f"  contradiction: {search.contradiction}", file=out)
     else:
         print("  (no contradiction by unit propagation alone; exhaustive "
               "search excluded every assignment)", file=out)

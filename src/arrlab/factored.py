@@ -9,7 +9,8 @@ in one part gives counts (2, 0) and is forbidden, which is what drives the
 propagation below.
 
 ``find_factorization`` runs an exhaustive backtracking search with unit
-propagation.
+propagation.  Its result also records what propagation alone derives from
+the seed "line 0 in part 1", which explains a NOT FACTORED answer.
 """
 
 from __future__ import annotations
@@ -25,6 +26,22 @@ class Factorization:
 
     part1: frozenset
     part2: frozenset
+
+
+@dataclass(frozen=True)
+class FactorSearch:
+    """Outcome of ``find_factorization``.
+
+    ``factorization`` is None iff no factorization exists.  ``steps`` are the
+    (line, part, reason) triples that unit propagation derives from 'line 0
+    in part 1', and ``contradiction`` is the condition that propagation
+    violates (as it does for the icosidodecahedral deconing), or None when
+    the search had to go further.
+    """
+
+    factorization: Factorization | None
+    steps: tuple
+    contradiction: str | None
 
 
 def _incidence_data(arr: LineArrangement):
@@ -48,116 +65,87 @@ def is_valid_factorization(arr: LineArrangement, fac: Factorization) -> bool:
         for j in fac.part2:
             if arr.lines[i].is_parallel(arr.lines[j]):
                 return False
-    flats, _ = _incidence_data(arr)
-    for line_set in flats:
-        c1 = sum(1 for i in line_set if i in fac.part1)
+    for line_set in intersection_points(arr).values():
+        c1 = len(line_set & fac.part1)
         c2 = len(line_set) - c1
         if c1 != 1 and c2 != 1:
             return False
     return True
 
 
-class _State:
-    """Partial part assignment with unit propagation and a step trace."""
-
-    def __init__(self, flats, parallel, n):
-        self.flats = flats
-        self.parallel = parallel
-        self.n = n
-        self.part = [0] * n  # 0 = unassigned
-        self.trace = []
-        self.contradiction = None
-
-    def copy(self) -> "_State":
-        dup = _State(self.flats, self.parallel, self.n)
-        dup.part = list(self.part)
-        dup.trace = list(self.trace)
-        return dup
-
-    def _fail(self, message: str) -> bool:
-        self.contradiction = message
-        return False
-
-    def _set(self, line: int, part: int, reason: str) -> None:
-        # callers pass only unassigned lines
-        self.part[line] = part
-        self.trace.append((line, part, reason))
-
-    def assign(self, line: int, part: int, reason: str) -> bool:
-        """Set one line and propagate to a fixpoint; False on contradiction."""
-        self._set(line, part, reason)
-        changed = True
-        while changed:
-            changed = False
-            for i, j in self.parallel:
-                a, b = self.part[i], self.part[j]
-                if a and b and a != b:
-                    return self._fail(f"parallel lines {i} and {j} lie in "
-                                      f"different parts but never meet")
-                if a and not b:
-                    self._set(j, a, f"parallel to line {i}")
-                    changed = True
-                elif b and not a:
-                    self._set(i, b, f"parallel to line {j}")
-                    changed = True
-            for line_set in self.flats:
-                step = self._propagate_flat(line_set)
-                if step is None:
-                    return False
-                changed = changed or step
-        return True
-
-    @staticmethod
-    def _feasible(c1: int, c2: int, u: int) -> bool:
-        # can the remaining u free lines still make c1 == 1 or c2 == 1?
-        return c1 <= 1 <= c1 + u or c2 <= 1 <= c2 + u
-
-    def _propagate_flat(self, line_set):
-        """One propagation pass at a point; True if something got forced,
-        None on contradiction."""
-        c1 = sum(1 for i in line_set if self.part[i] == 1)
-        c2 = sum(1 for i in line_set if self.part[i] == 2)
-        free = [i for i in line_set if self.part[i] == 0]
-        u = len(free)
-        where = "point " + "&".join(str(i) for i in line_set)
-        if not self._feasible(c1, c2, u):
-            self._fail(f"{where}: part counts ({c1},{c2}) can no longer "
-                       f"put a single line on either side")
-            return None
-        # with u >= 1 free lines left, a line that does not fit in part 1
-        # fits in part 2; every free line faces the same choice, so the
-        # first one is forced or none is
-        if not free:
-            return False
-        if self._feasible(c1 + 1, c2, u - 1):
-            if self._feasible(c1, c2 + 1, u - 1):
-                return False
-            part = 1
-        else:
-            part = 2
-        self._set(free[0], part, f"{where} forces it (counts ({c1},{c2}), "
-                                 f"otherwise no side keeps a single line)")
-        # counts changed; let the outer fixpoint loop revisit this flat
-        return True
+def _feasible(c1: int, c2: int, u: int) -> bool:
+    # can the remaining u free lines still make c1 == 1 or c2 == 1?
+    return c1 <= 1 <= c1 + u or c2 <= 1 <= c2 + u
 
 
-def _search(state: _State):
-    if all(state.part):
+def _point(line_set) -> str:
+    return "point " + "&".join(map(str, line_set))
+
+
+def _assign(part, line, side, reason, flats, parallel, trace):
+    """Put an unassigned line on ``side`` and propagate to a fixpoint.
+
+    Each (line, part, reason) set goes to ``trace``.  Returns the violated
+    condition, or None when the fixpoint holds.  A pass runs the parallel
+    pairs in order, then the points in order, until nothing changes.
+    """
+    part[line] = side
+    trace.append((line, side, reason))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in parallel:
+            a, b = part[i], part[j]
+            if a and b and a != b:
+                return (f"parallel lines {i} and {j} lie in different parts "
+                        f"but never meet")
+            if a != b:  # exactly one of the pair is set
+                free, fixed = (j, i) if a else (i, j)
+                part[free] = part[fixed]
+                trace.append((free, part[fixed], f"parallel to line {fixed}"))
+                changed = True
+        for line_set in flats:
+            sides = [part[i] for i in line_set]
+            c1, c2 = sides.count(1), sides.count(2)
+            u = len(sides) - c1 - c2
+            if not _feasible(c1, c2, u):
+                return (f"{_point(line_set)}: part counts ({c1},{c2}) can no "
+                        f"longer put a single line on either side")
+            # with u >= 1 free lines left, a line that does not fit in part 1
+            # fits in part 2; every free line faces the same choice, so the
+            # first one is forced or none is
+            if not u or (_feasible(c1 + 1, c2, u - 1)
+                         and _feasible(c1, c2 + 1, u - 1)):
+                continue
+            forced = 1 if _feasible(c1 + 1, c2, u - 1) else 2
+            free = line_set[sides.index(0)]
+            part[free] = forced
+            trace.append((free, forced,
+                          f"{_point(line_set)} forces it (counts ({c1},{c2}), "
+                          f"otherwise no side keeps a single line)"))
+            changed = True
+    return None
+
+
+def _search(part, flats, parallel):
+    """A propagated assignment completed by branching, or None."""
+    if all(part):
         # the fixpoint pass that completed the assignment checked every
         # point and parallel pair, and line 0 seeds part 1
-        return state if 2 in state.part else None
-    line = state.part.index(0)
-    for part in (1, 2):
-        child = state.copy()
-        if child.assign(line, part, "search choice"):
-            found = _search(child)
+        return part if 2 in part else None
+    line = part.index(0)
+    for side in (1, 2):
+        child = list(part)
+        if _assign(child, line, side, "search choice", flats, parallel,
+                   []) is None:
+            found = _search(child, flats, parallel)
             if found is not None:
                 return found
     return None
 
 
-def find_factorization(arr: LineArrangement):
-    """Exhaustive backtracking search; None iff no factorization exists.
+def find_factorization(arr: LineArrangement) -> FactorSearch:
+    """Exhaustive backtracking search from the seeded propagation.
 
     Ties are broken by putting line 0 into part 1, which loses nothing since
     existence is invariant under swapping the parts.
@@ -166,27 +154,14 @@ def find_factorization(arr: LineArrangement):
     if n < 2:
         raise ValueError("factorization needs at least 2 lines")
     flats, parallel = _incidence_data(arr)
-    root = _State(flats, parallel, n)
-    if not root.assign(0, 1, "seed"):
-        return None
-    found = _search(root)
-    if found is None:
-        return None
-    fac = Factorization(frozenset(i for i in range(n) if found.part[i] == 1),
-                        frozenset(i for i in range(n) if found.part[i] == 2))
-    if not is_valid_factorization(arr, fac):
-        raise RuntimeError("search returned an invalid factorization")
-    return fac
-
-
-def propagation_trace(arr: LineArrangement):
-    """Seeded unit-propagation record, for explaining a failed search.
-
-    Returns (steps, contradiction): the (line, part, reason) triples derived
-    from 'line 0 in part 1', and the failing condition if propagation alone
-    already hits one (as it does for the icosidodecahedral deconing).
-    """
-    flats, parallel = _incidence_data(arr)
-    state = _State(flats, parallel, len(arr.lines))
-    state.assign(0, 1, "seed")
-    return state.trace, state.contradiction
+    part, steps = [0] * n, []
+    contradiction = _assign(part, 0, 1, "seed", flats, parallel, steps)
+    found = None if contradiction else _search(part, flats, parallel)
+    fac = None
+    if found is not None:
+        fac = Factorization(
+            frozenset(i for i in range(n) if found[i] == 1),
+            frozenset(i for i in range(n) if found[i] == 2))
+        if not is_valid_factorization(arr, fac):
+            raise RuntimeError("search returned an invalid factorization")
+    return FactorSearch(fac, tuple(steps), contradiction)

@@ -78,8 +78,7 @@ class Circuit:
 
     ``counts[p]`` is the number of times the walk traverses the component's
     p-th link edge; ``corners[p]`` is the corner labelling that edge, an
-    index into ``gamma.corners``.
-    ``steps`` is the walk length, which always equals sum(counts).
+    index into ``gamma.corners``; sum(counts) is the walk length.
     """
 
     vertex: int
@@ -88,10 +87,6 @@ class Circuit:
     start: int
     counts: tuple
     corners: tuple
-
-    @property
-    def steps(self) -> int:
-        return sum(self.counts)
 
 
 # Runs of consecutive link edges behind types (ii)-(iv): the type, the run

@@ -50,7 +50,7 @@ def test_criterion_2_integer_split(icosi):
 
 
 def test_criterion_3_not_factored(lid):
-    assert find_factorization(lid) is None
+    assert find_factorization(lid).factorization is None
     assert find_factorization_bruteforce(lid) is None
     done(3, "L_ID is not factored, by propagation search and by all 2^15 "
             "assignments")

@@ -332,7 +332,7 @@ def check_order_against_cross_products(cx):
     by_angle = cmp_to_key(lambda g, h: direction_cmp(g[1], h[1]))
     for v in cx.vertices:
         ring = [eid for eid, _ in sorted(leaving[v.id], key=by_angle)]
-        assert list(cx.germ_edges(v.id)) == ring
+        assert list(cx.germs[v.id]) == ring
 
 
 def test_germ_and_line_order_match_cross_product_oracle(lid_complex):
@@ -390,9 +390,8 @@ def face_tables_text(cx, gam):
     out = [f"face {f.id} {f.bounded} {f.vertex_ids} {f.edge_ids} "
            f"{sorted(f.boundary_lines)}" for f in cx.faces]
     for v in cx.vertices:
-        ring = cx.germ_edges(v.id)
-        out.append(f"vertex {v.id} {list(ring)} "
-                   f"{[cx.sector_face(v.id, i) for i in range(len(ring))]}")
+        out.append(f"vertex {v.id} {list(cx.germs[v.id])} "
+                   f"{list(cx.sectors[v.id])}")
     out.append(" ".join(f"({c.vertex},{c.face})" for c in gam.corners))
     return "".join(line + "\n" for line in out)
 
@@ -413,7 +412,7 @@ def test_rotation_and_sector_tables_agree():
         index = {c: n for n, c in enumerate(gam.corners)}
         sectors_of = Counter()
         for v in cx.vertices:
-            ring = cx.germ_edges(v.id)
+            ring = cx.germs[v.id]
             assert len(cx.rotation[v.id]) == len(ring)
             for i, eid in enumerate(ring):
                 # the table is an involution on segment germs, None on rays
@@ -421,9 +420,9 @@ def test_rotation_and_sector_tables_agree():
                 assert (step is None) == (cx.edges[eid].kind == "ray")
                 if step is not None:
                     w, j = step
-                    assert cx.germ_edges(w)[j] == eid
+                    assert cx.germs[w][j] == eid
                     assert cx.rotation[w][j] == (v.id, i)
-                face = cx.faces[cx.sector_face(v.id, i)]
+                face = cx.faces[cx.sectors[v.id][i]]
                 assert v.id in face.vertex_ids
                 sectors_of[face.id] += 1
                 expected = index[Corner(v.id, face.id)] if face.bounded \
@@ -435,7 +434,7 @@ def test_rotation_and_sector_tables_agree():
         # i and i + 1 at v by sector i, each corner exactly once
         labels = []
         for lk in gam.links():
-            ring = cx.germ_edges(lk.vertex)
+            ring = cx.germs[lk.vertex]
             for comp in lk.components:
                 labels.extend(comp.corners)
                 for p, n in enumerate(comp.corners):

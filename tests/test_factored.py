@@ -9,13 +9,11 @@ import arrlab.cells
 import arrlab.factored
 import arrlab.poset
 from arrlab.arrangement import LineArrangement, builtin, serialize_arrangement
-from arrlab.cli import main
+from arrlab.cli import as_line_arrangement, main
 from arrlab.factored import (
     Factorization,
-    _State,
     find_factorization,
     is_valid_factorization,
-    propagation_trace,
 )
 from arrlab.scalar import RATIONAL
 
@@ -28,7 +26,7 @@ from oracles import (
 
 def test_two_generic_lines():
     arr = builtin("boolean2")
-    fac = find_factorization(arr)
+    fac = find_factorization(arr).factorization
     assert fac is not None
     assert is_valid_factorization(arr, fac)
     assert {fac.part1, fac.part2} == {frozenset({0}), frozenset({1})}
@@ -38,31 +36,55 @@ def test_two_parallel_lines():
     arr = LineArrangement(((Fraction(1), Fraction(0), Fraction(0)),
                            (Fraction(1), Fraction(0), Fraction(1))),
                           RATIONAL)
-    assert find_factorization(arr) is None
+    assert find_factorization(arr).factorization is None
     assert find_factorization_bruteforce(arr) is None
 
 
 def test_lid_not_factored(lid):
-    assert find_factorization(lid) is None
+    assert find_factorization(lid).factorization is None
 
 
 def test_lid_propagation_finds_contradiction(lid):
-    steps, contradiction = propagation_trace(lid)
-    assert contradiction is not None
-    assert steps[0] == (0, 1, "seed")
+    search = find_factorization(lid)
+    assert search.contradiction is not None
+    assert search.steps[0] == (0, 1, "seed")
 
 
-def test_factor_command_finds_intersections_once(monkeypatch, capsys):
-    # the seeded propagation ends in a contradiction, so the search that
-    # would repeat it never runs
+def test_h3_section_needs_the_search():
+    # propagation from the seed forces one line and stops short of a
+    # contradiction; the search then excludes every assignment
+    search = find_factorization(as_line_arrangement(builtin("H3")))
+    assert search.factorization is None
+    assert search.contradiction is None
+    assert search.steps == (
+        (0, 1, "seed"),
+        (7, 2, "point 0&7 forces it (counts (1,0), otherwise no side keeps "
+               "a single line)"))
+
+
+def _factor_reads(monkeypatch, capsys, name):
+    """Output of `arrlab factor name` and the number of point reads."""
     calls = []
     points = arrlab.factored.intersection_points
     monkeypatch.setattr(arrlab.factored, "intersection_points",
                         lambda arr: calls.append(arr) or points(arr))
-    assert main(["factor", "@icosidodecahedral"]) == 0
-    out = capsys.readouterr().out
+    assert main(["factor", name]) == 0
+    return capsys.readouterr().out, len(calls)
+
+
+def test_factor_command_finds_intersections_once(monkeypatch, capsys):
+    # the seeded propagation ends in a contradiction, so no search runs
+    out, reads = _factor_reads(monkeypatch, capsys, "@icosidodecahedral")
     assert out.startswith("NOT FACTORED\n") and "contradiction:" in out
-    assert len(calls) == 1
+    assert reads == 1
+
+
+def test_factor_command_searches_after_one_propagation(monkeypatch, capsys):
+    # the seeded propagation leaves the question open, so the search runs
+    # on from it and reads the intersection points no second time
+    out, reads = _factor_reads(monkeypatch, capsys, "@H3")
+    assert out.startswith("NOT FACTORED\n") and "exhaustive search" in out
+    assert reads == 1
 
 
 FACTORED_FILE = "field rational\nline 1 0 0\nline 0 1 0\nline 0 1 1\n"
@@ -75,8 +97,9 @@ FACTORED_FILE = "field rational\nline 1 0 0\nline 0 1 0\nline 0 1 1\n"
 def test_commands_compute_intersections_once(argv, first_line, tmp_path,
                                              monkeypatch, capsys):
     # analyze reads the points in the poset, the complex and the search;
-    # factor on a FACTORED input in the propagation, the search and its
-    # re-check: each reads them three times, and they are computed once
+    # factor on a FACTORED input in the search and its re-check; they are
+    # computed once
+    nreads = {"analyze": 3, "factor": 2}[argv[0]]
     path = tmp_path / "factored.txt"
     path.write_text(FACTORED_FILE, encoding="utf-8")
     computed, reads = [], []
@@ -90,7 +113,7 @@ def test_commands_compute_intersections_once(argv, first_line, tmp_path,
                             reads.append(arr) or read(arr))
     assert main([a.format(path=path) for a in argv]) == 0
     assert capsys.readouterr().out.splitlines()[0] == first_line
-    assert len(reads) == 3 and len(computed) == 1
+    assert len(reads) == nreads and len(computed) == 1
 
 
 def test_single_line_rejected():
@@ -107,7 +130,7 @@ def test_vertical_plus_horizontals_is_factored():
                            (Fraction(0), Fraction(1), Fraction(0)),
                            (Fraction(0), Fraction(1), Fraction(1))),
                           RATIONAL)
-    fac = find_factorization(arr)
+    fac = find_factorization(arr).factorization
     assert fac is not None
     assert is_valid_factorization(arr, fac)
     assert {fac.part1, fac.part2} == {frozenset({0}), frozenset({1, 2})}
@@ -116,7 +139,7 @@ def test_vertical_plus_horizontals_is_factored():
 def test_generic_triangle_not_factored():
     # double points pairwise force opposite parts: an odd cycle, so none
     arr = builtin("generic3")
-    assert find_factorization(arr) is None
+    assert find_factorization(arr).factorization is None
     assert find_factorization_bruteforce(arr) is None
 
 
@@ -146,9 +169,10 @@ def test_search_agrees_with_bruteforce(monkeypatch):
     # propagation can leave lines free and the search must branch; a
     # 3-line pencil and the 6-line input of the CLI test always do
     branches = []
-    copy = _State.copy
-    monkeypatch.setattr(_State, "copy",
-                        lambda self: branches.append(1) or copy(self))
+    search = arrlab.factored._search
+    monkeypatch.setattr(arrlab.factored, "_search",
+                        lambda part, *rest: branches.append(part.count(0))
+                        or search(part, *rest))
     rng = random.Random(99)
     inputs = [_lines((1, 0, 0), (0, 1, 0), (1, 1, 0)),
               _lines((1, 1, -1), (1, -1, 1), (1, 0, -1), (0, 1, -1),
@@ -157,24 +181,26 @@ def test_search_agrees_with_bruteforce(monkeypatch):
                                        coeff_range=coeff_range)
                for coeff_range in (3, 1) for _ in range(40)]
     for arr in inputs:
-        fast = find_factorization(arr)
+        fast = find_factorization(arr).factorization
         slow = find_factorization_bruteforce(arr)
         assert (fast is None) == (slow is None), arr
         if fast is not None:
             assert is_valid_factorization(arr, fast)
             assert is_valid_factorization(arr, slow)
-    assert branches
+    # a call with free lines left branches on one of them
+    assert any(branches)
 
 
 def test_relabeling_preserves_existence():
     rng = random.Random(42)
     for _ in range(15):
         arr = random_line_arrangement(rng, rng.randint(3, 6))
-        exists = find_factorization(arr) is not None
+        exists = find_factorization(arr).factorization is not None
         perm = list(arr.lines)
         rng.shuffle(perm)
         shuffled = LineArrangement(tuple(perm), arr.field)
-        assert (find_factorization(shuffled) is not None) == exists
+        assert (find_factorization(shuffled).factorization is not None) \
+            == exists
 
 
 # lines 1 and 4 are parallel; propagation from the seed puts them in
