@@ -314,3 +314,30 @@ def test_large_golden_output(case, name, tmp_path, capsys):
     ref = _write_input(_large_geometry_inputs()[name], name, tmp_path)
     assert run_commands([LARGE_GOLDEN_CASES[case]], ref, tmp_path,
                         capsys) == LARGE_GOLDEN_DIGESTS[f"{case}/{name}"]
+
+
+# a golden line file with coefficients up to 10^400: its crossing points
+# lie 10^-400 apart and its SVG coordinates run to 400 digits, far past
+# the range and resolution of a float
+_E = 10 ** 400
+HUGE_LINES = ("1 0 0", "0 1 0", "1 1 1", f"1 -1 1/{_E}", f"{_E} 1 {_E}~1",
+              f"1 0~1 0~1/{_E}", f"1 1/{_E} 0", f"0~1 1 {_E}/3~-{_E}")
+
+HUGE_DIGESTS = {
+    "poset":
+        "f3bc81f5492888e44f40a9a2a285d4e59debc90766bff3c54240e97ad3086de0",
+    "gamma":
+        "3e410500e4afaf079b7fd0dd44e981640c1c6713089d6c93891eaed3c274e2d6",
+    "render":
+        "34c33cd8b182f969529dd5a8fba772431268347a787ad230e762c8381c083983",
+}
+
+
+@pytest.mark.parametrize("case", HUGE_DIGESTS)
+def test_huge_coefficient_output(case, tmp_path, capsys):
+    ref = tmp_path / "huge.txt"
+    ref.write_text("field golden\n" + "".join(f"line {row}\n"
+                                              for row in HUGE_LINES),
+                   encoding="utf-8")
+    assert run_commands([LARGE_GOLDEN_CASES[case]], str(ref), tmp_path,
+                        capsys) == HUGE_DIGESTS[case]
