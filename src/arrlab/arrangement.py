@@ -13,7 +13,10 @@ kernel, ``meet_groups``: each coefficient triple is cleared to int pairs
 (p, q) of Z[sqrt5] over one denominator, the meet of two rows is their
 cross product, and one conjugate multiplication and one gcd per pair give
 a canonical int key, so a GoldenScalar is built only once per distinct
-point.
+point.  The keys are sorted twice: by an int pre-order that reads each
+coordinate to 64 bits, then by the exact comparator ``_key_order``, which
+alone decides the order and on the nearly sorted list makes about one
+comparison per point.
 
 The module also owns the text file format::
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, cmp_to_key
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 
 from .scalar import (
@@ -218,6 +221,21 @@ def _key_order(u, v) -> int:
     return (p > 0) - (p < 0)
 
 
+# the pre-order below reads each coordinate to 64 bits, with sqrt5 rounded
+# down to _ROOT5 / 2^64
+_BITS = 64
+_ROOT5 = isqrt(5 << 2 * _BITS)
+
+
+def _preorder_key(key):
+    # each coordinate (p + q*sqrt5)/n of a meet key as the int
+    # floor((p*2^64 + q*_ROOT5)/n); n > 0
+    xp, xq, yp, yq, zp, zq, n = key
+    return (((xp << _BITS) + xq * _ROOT5) // n,
+            ((yp << _BITS) + yq * _ROOT5) // n,
+            ((zp << _BITS) + zq * _ROOT5) // n)
+
+
 def meet_groups(rows, affine: bool) -> list:
     """The meets of pairs of rows of P^2, grouped by meet point.
 
@@ -234,6 +252,16 @@ def meet_groups(rows, affine: bool) -> list:
 
     Returns [(key, frozenset of the indices of the rows through the
     point)], sorted by the points' coordinates in the order of the reals.
+
+    The sort has two passes.  ``_preorder_key`` first sorts the keys by the
+    ints floor((p*2^64 + q*floor(sqrt5*2^64))/n), one per coordinate:
+    ints of any size, so no overflow and no NaN, but points closer than
+    about (|q|/n + 1) * 2^-64 may tie or come out of order.  The sort by the
+    exact comparator ``_key_order`` then starts from that nearly sorted
+    list, and Timsort needs about one comparison per point.  Distinct keys
+    are distinct points, so ``_key_order`` is a strict total order on them
+    and the second sort returns the same list from any starting order: the
+    pre-order changes only the number of comparisons.
     """
     rows = [_cleared(row) for row in rows]
     groups = {}
@@ -271,8 +299,9 @@ def meet_groups(rows, affine: bool) -> list:
             key = (xp // g, xq // g, yp // g, yq // g, zp // g, zq // g,
                    n // g)
             groups.setdefault(key, set()).update((i, j))
-    return [(key, frozenset(groups[key]))
-            for key in sorted(groups, key=cmp_to_key(_key_order))]
+    keys = sorted(groups, key=_preorder_key)
+    keys.sort(key=cmp_to_key(_key_order))
+    return [(key, frozenset(groups[key])) for key in keys]
 
 
 @dataclass(frozen=True)

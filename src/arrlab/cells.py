@@ -12,9 +12,11 @@ where it arrives as germ j and turns to the sector (w, j - 1) clockwise of
 it.  A bounded face is a closed orbit, an unbounded face the chain from
 the sector clockwise of its inward ray to its outward ray.  Orientation is
 read from the normal form: every line is stored with the first nonzero of
-(a, b) equal to 1, so the germs around a vertex and the vertices along a
-line are ordered by comparing coefficients and coordinates, with no
-products and no trigonometry.
+(a, b) equal to 1, so the vertices along a line are ordered by their
+coordinates and the germs around a vertex by the line's b, with no
+products and no trigonometry.  The germ sort reads b as an int: its rank
+among the distinct b values of the arrangement, found by one sort of at
+most n scalars.
 
 Each face stands for a pair of antipodal chambers of the cone over the
 arrangement; their walls are the face's boundary lines plus the plane at
@@ -170,14 +172,17 @@ def build_complex(arr: LineArrangement) -> CellComplex:
         return e
 
     # a germ leaves forward along (-b, a) or backward; germs sort
-    # counterclockwise from +x by (forward != steep, steep, b).  The first
-    # entry is the half plane (y > 0, or y = 0 < x, comes first); within a
-    # half the angle of +-(-b, 1) grows with b, and a horizontal germ,
-    # +-(-1, 0), opens its half
+    # counterclockwise from +x by (forward != steep, steep, rank of b).  The
+    # first entry is the half plane (y > 0, or y = 0 < x, comes first);
+    # within a half the angle of +-(-b, 1) grows with b, and a horizontal
+    # germ, +-(-1, 0), opens its half.  The rank of b among the distinct b
+    # values orders as b does, so the germ sort compares ints only
+    b_rank = {b: r for r, b in enumerate(sorted({ln.b for ln in arr.lines}))}
     for i in range(n):
         steep = arr.lines[i].a != 0
-        forward = (not steep, steep, arr.lines[i].b)
-        backward = (steep, steep, arr.lines[i].b)
+        rank = b_rank[arr.lines[i].b]
+        forward = (not steep, steep, rank)
+        backward = (steep, steep, rank)
         vids = on_line[i]
         lead = add_edge(i, RAY, v0=vids[0])
         germ_keys[vids[0]].append((backward, lead.id, 0))

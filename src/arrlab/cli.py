@@ -185,16 +185,16 @@ def _analyze_head(args, arr, pi):
 def cmd_poset(args, out) -> int:
     arr = load_arrangement(args.arrangement)
     poset = intersection_poset(arr)
+    lines = []
     for r in range(poset.rank + 1):
         flats = poset.flats_of_rank(r)
-        print(f"rank {r}: {len(flats)} flat(s)", file=out)
+        lines.append(f"rank {r}: {len(flats)} flat(s)\n")
         for f in flats:
             hset = "{" + ",".join(map(str, sorted(f.hyperplanes))) + "}"
-            line = f"  flat {f.id}: hyperplanes {hset}"
-            if args.mobius:
-                line += f"  mu={poset.mobius[f.id]}"
-            print(line, file=out)
-    print(f"pi: {poset.poincare_polynomial()}", file=out)
+            mu = f"  mu={poset.mobius[f.id]}" if args.mobius else ""
+            lines.append(f"  flat {f.id}: hyperplanes {hset}{mu}\n")
+    lines.append(f"pi: {poset.poincare_polynomial()}\n")
+    out.write("".join(lines))
     return 0
 
 
@@ -242,11 +242,12 @@ def cmd_factor(args, out) -> int:
 def cmd_falk_constraints(args, out) -> int:
     gam = gamma_of(as_line_arrangement(load_arrangement(args.arrangement)))
     system = build_constraints(gam)
-    for i, c in enumerate(system.variables):
-        print(f"# x{i} = corner (vertex {c.vertex}, face {c.face})", file=out)
+    lines = [f"# x{i} = corner (vertex {c.vertex}, face {c.face})\n"
+             for i, c in enumerate(system.variables)]
     for row in system.rows:
-        terms = " + ".join(f"{k}*x{j}" for j, k in row.coeffs)
-        print(f"{terms} {row.rel} {row.rhs}   # {row.tag}", file=out)
+        terms = " + ".join([f"{k}*x{j}" for j, k in row.coeffs])
+        lines.append(f"{terms} {row.rel} {row.rhs}   # {row.tag}\n")
+    out.write("".join(lines))
     return 0
 
 

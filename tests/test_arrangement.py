@@ -1,16 +1,18 @@
 import hashlib
+import importlib.util
 import operator
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlab import cells
+from arrlab import arrangement, cells
 from arrlab.arrangement import (
     AffineLine,
     ArrangementError,
@@ -38,6 +40,7 @@ from oracles import (
     central_axes_reference,
     crossings_reference,
     essential_random_line_arrangement,
+    large_seeded_inputs,
     matrix_rank,
     sign,
 )
@@ -550,3 +553,60 @@ def test_meets_of_parallel_classes_pencils_and_rank_2(monkeypatch):
     assert planes.rank() == 2
     assert [(f.rank, f.hyperplanes) for f in _central_flats(planes)][6:] == \
         [(2, frozenset(range(5)))]
+
+
+def _meet_inputs():
+    """Rows and the ``affine`` flag of meet_groups: the duals of the seeded
+    24-line inputs over Q and Q(sqrt5), and the icosidodecahedral planes."""
+    inputs = large_seeded_inputs()
+    rows = {name: ([(ln.a, ln.b, -ln.c) for ln in inputs[name].lines], True)
+            for name in ("rational24", "golden24")}
+    rows["icosidodecahedral"] = (
+        [pl.normal() for pl in build_icosidodecahedral().planes], False)
+    return rows
+
+
+@pytest.mark.parametrize("name", ("rational24", "golden24",
+                                  "icosidodecahedral"))
+def test_preorder_cannot_change_the_meet_order(name, monkeypatch):
+    rows, affine = _meet_inputs()[name]
+    expected = meet_groups(rows, affine)
+    rough = arrangement._preorder_key
+    # every key equal: the exact sort starts from the order of discovery
+    monkeypatch.setattr(arrangement, "_preorder_key", lambda key: 0)
+    assert meet_groups(rows, affine) == expected
+    # the exact sort starts from the reverse of the real order
+    monkeypatch.setattr(arrangement, "_preorder_key",
+                        lambda key: tuple(-c for c in rough(key)))
+    assert meet_groups(rows, affine) == expected
+
+
+def _geometry_inputs():
+    """The four inputs of group 0 of the benchmark's geometry workload at
+    seed 1: the 30-line rational and golden arrangements of
+    perfbench/gen.py, each as the rows of its crossings and of its cone's
+    axes."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random("geometry:1")
+    for golden in (False, True):
+        arr = gen.to_arrangement(gen.random_lines(rng, 30, 4, golden), golden)
+        yield [(ln.a, ln.b, -ln.c) for ln in arr.lines], True
+        yield [pl.normal() for pl in cone(arr).planes], False
+
+
+def test_preorder_leaves_one_comparison_per_point(monkeypatch):
+    exact = arrangement._key_order
+    calls = []
+
+    def counted(u, v):
+        calls.append(None)
+        return exact(u, v)
+    monkeypatch.setattr(arrangement, "_key_order", counted)
+    for rows, affine in _geometry_inputs():
+        calls.clear()
+        points = len(meet_groups(rows, affine))
+        # a sort from scratch makes about 7 per point on these inputs
+        assert points > 300 and len(calls) <= 2 * points

@@ -31,7 +31,7 @@ from arrlab.cells import (
     is_simplicial,
 )
 from arrlab.poset import intersection_poset
-from arrlab.scalar import RATIONAL
+from arrlab.scalar import GOLDEN, RATIONAL, GoldenScalar
 
 from oracles import (
     chamber_wall_counts,
@@ -358,6 +358,30 @@ def test_germ_and_line_order_match_cross_product_oracle(lid_complex):
             check_order_against_cross_products(build_complex(arr))
     # every field brings horizontal, vertical, b > 0 and parallel lines
     assert len(seen) == 8 and all(seen.values())
+
+
+def test_germ_ranks_on_shared_and_close_slopes():
+    """Germs sort by the rank of each line's b among the distinct b values.
+    Lines that share b (a horizontal line and steep ones with b = 1,
+    parallel lines) and golden b values that agree to 12 decimal places
+    still get the rings that the cross products give."""
+    shared = lines((0, 1, 0), (1, 1, 0), (1, 1, 2), (1, 0, 0), (1, -1, 0),
+                   (0, 1, 1), (1, 0, 1))
+    g = GoldenScalar
+    phi, eps = g(F(1, 2), F(1, 2)), g(F(1, 10 ** 13))
+    # 2178309/1346269 is a ratio of Fibonacci numbers, 2.5e-13 below phi
+    close = (phi, g(F(2178309, 1346269)), phi + eps, phi - eps)
+    assert all(-10 * eps < b - phi < 10 * eps for b in close)
+    golden = LineArrangement(
+        tuple((1, b, 0) for b in close)
+        + ((1, phi, 1), (0, 1, 1), (1, 0, 1), (1, -close[1], 3)), GOLDEN)
+    for arr in (shared, golden):
+        assert len({ln.b for ln in arr.lines}) < len(arr.lines)
+        cx = build_complex(arr)
+        # the origin carries four lines, their germs in eight directions
+        origin = next(v for v in cx.vertices if not any(v.point))
+        assert len(cx.germs[origin.id]) == 8
+        check_order_against_cross_products(cx)
 
 
 # -- face tables ---------------------------------------------------------------

@@ -1,4 +1,6 @@
 import hashlib
+import io
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -258,6 +260,28 @@ def test_falk_constraints_dump(capsys):
     assert code == 0
     assert "1*x0 + 1*x1 + 1*x2 <= 1" in out
     assert "# x0 = corner (vertex 0, face 0)" in out
+
+
+class _CountingOut(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", (
+    ["poset", "@icosidodecahedral", "--mobius"],
+    ["falk", "constraints", "@icosidodecahedral"]))
+def test_long_reports_are_written_once(argv, monkeypatch, capsys):
+    _, expected, _ = run_cli(argv, capsys)
+    out = _CountingOut()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    assert out.getvalue() == expected and expected.count("\n") > 60
+    assert out.writes == 1
 
 
 def test_falk_solve_verify_roundtrip(tmp_path, capsys):
